@@ -1,6 +1,5 @@
 // Differential counting (collection/delta_counter.h): full-recount vs
-// delta-derived per-step latency and session throughput, unsharded and
-// sharded (K=4).
+// delta-derived per-step latency and session throughput.
 //
 // Every discovery step narrows the candidate set by Partition(e), and
 // counts(C2) = counts(C) - counts(C1) exactly — so a step's counting pass
@@ -29,7 +28,6 @@
 
 #include "bench_common.h"
 #include "core/selectors.h"
-#include "core/sharded_selectors.h"
 #include "core/weighted.h"
 #include "core/weighted_klp.h"
 #include "service/discovery_session.h"
@@ -44,12 +42,8 @@ using Transcript = std::vector<std::pair<EntityId, Oracle::Answer>>;
 struct ModeSpec {
   std::string name;
   std::function<std::unique_ptr<EntitySelector>(bool differential)> make;
-  /// Null = unsharded only (the weighted selectors have no sharded variant).
-  std::function<std::unique_ptr<ShardedEntitySelector>(bool differential)>
-      make_sharded;
   /// Memo clear between conversations (null = stateless between them).
   std::function<void(EntitySelector&)> reset;
-  std::function<void(ShardedEntitySelector&)> reset_sharded;
 };
 
 std::vector<ModeSpec> CountingStrategies(const std::vector<double>* weights) {
@@ -65,42 +59,30 @@ std::vector<ModeSpec> CountingStrategies(const std::vector<double>* weights) {
     return o;
   };
   return {
-      {"MostEven",
-       [](bool d) { return std::make_unique<MostEvenSelector>(d); },
-       [](bool d) { return std::make_unique<ShardedMostEvenSelector>(d); },
-       nullptr, nullptr},
-      {"InfoGain",
-       [](bool d) { return std::make_unique<InfoGainSelector>(d); },
-       [](bool d) { return std::make_unique<ShardedInfoGainSelector>(d); },
-       nullptr, nullptr},
+      {"MostEven", [](bool d) { return std::make_unique<MostEvenSelector>(d); },
+       nullptr},
+      {"InfoGain", [](bool d) { return std::make_unique<InfoGainSelector>(d); },
+       nullptr},
       {"2-LP",
        [klp_options](bool d) {
          return std::make_unique<KlpSelector>(klp_options(d));
        },
-       [klp_options](bool d) {
-         return std::make_unique<ShardedKlpSelector>(klp_options(d));
-       },
-       [](EntitySelector& s) { static_cast<KlpSelector&>(s).ClearCache(); },
-       [](ShardedEntitySelector& s) {
-         static_cast<ShardedKlpSelector&>(s).inner().ClearCache();
-       }},
+       [](EntitySelector& s) { static_cast<KlpSelector&>(s).ClearCache(); }},
       // §7 weighted configurations: same conversations, prior-aware
-      // decisions. Unsharded only (no sharded weighted engine).
+      // decisions.
       {"WeightedMostEven",
        [weights](bool d) {
          return std::make_unique<WeightedMostEvenSelector>(weights, d);
        },
-       nullptr, nullptr, nullptr},
+       nullptr},
       {"Weighted-2-LP",
        [weights, wklp_options](bool d) {
          return std::make_unique<WeightedKlpSelector>(weights,
                                                       wklp_options(d));
        },
-       nullptr,
        [](EntitySelector& s) {
          static_cast<WeightedKlpSelector&>(s).ClearCache();
-       },
-       nullptr},
+       }},
   };
 }
 
@@ -142,11 +124,11 @@ StepTiming RunConversations(const SetCollection& c,
   return t;
 }
 
-StepTiming RunUnsharded(const SetCollection& c, const InvertedIndex& idx,
-                        const std::vector<SeedPairEntry>& subs,
-                        const ModeSpec& spec, bool differential,
-                        double dont_know_rate, const DiscoveryOptions& options,
-                        std::vector<Transcript>* transcripts) {
+StepTiming RunSessions(const SetCollection& c, const InvertedIndex& idx,
+                       const std::vector<SeedPairEntry>& subs,
+                       const ModeSpec& spec, bool differential,
+                       double dont_know_rate, const DiscoveryOptions& options,
+                       std::vector<Transcript>* transcripts) {
   auto selector = spec.make(differential);
   auto reset = [&] {
     if (spec.reset) spec.reset(*selector);
@@ -167,38 +149,6 @@ StepTiming RunUnsharded(const SetCollection& c, const InvertedIndex& idx,
       [&](std::span<const EntityId> initial) {
         return std::make_unique<DiscoverySession>(c, idx, initial, *selector,
                                                   options);
-      },
-      reset, transcripts);
-}
-
-StepTiming RunSharded(const ShardedCollection& sharded,
-                      const std::vector<SeedPairEntry>& subs,
-                      const ModeSpec& spec, bool differential,
-                      double dont_know_rate, const DiscoveryOptions& options,
-                      ThreadPool* pool, std::vector<Transcript>* transcripts) {
-  const SetCollection& c = sharded.base();
-  auto selector = spec.make_sharded(differential);
-  selector->set_pool(pool);
-  auto reset = [&] {
-    if (spec.reset_sharded) spec.reset_sharded(*selector);
-  };
-  {
-    std::vector<Transcript> warmup;
-    RunConversations(
-        c, {subs.front()}, dont_know_rate,
-        [&](std::span<const EntityId> initial) {
-          return std::make_unique<ShardedDiscoverySession>(sharded, initial,
-                                                           *selector, options,
-                                                           pool);
-        },
-        reset, &warmup);
-  }
-  return RunConversations(
-      c, subs, dont_know_rate,
-      [&](std::span<const EntityId> initial) {
-        return std::make_unique<ShardedDiscoverySession>(sharded, initial,
-                                                         *selector, options,
-                                                         pool);
       },
       reset, transcripts);
 }
@@ -226,7 +176,6 @@ int main(int argc, char** argv) {
   const int num_conversations = ScalePick<int>(12, 24, 48);
   WebTablesWorkload w = MakeWebTablesWorkload(num_conversations);
   InvertedIndex idx(w.corpus);
-  ShardedCollection sharded(w.corpus, ShardingOptions{4, ShardScheme::kRange});
   const size_t threads = [] {
     const char* env = std::getenv("SETDISC_BENCH_THREADS");
     if (env != nullptr && std::atoi(env) > 0) {
@@ -235,7 +184,6 @@ int main(int argc, char** argv) {
     size_t hw = std::thread::hardware_concurrency();
     return hw == 0 ? 8 : hw;
   }();
-  ThreadPool pool(threads);
   size_t sub_sets = 0;
   for (const SeedPairEntry& entry : w.subcollections) {
     sub_sets += entry.set_ids.size();
@@ -244,8 +192,7 @@ int main(int argc, char** argv) {
       << w.corpus.num_distinct_entities() << " entities, "
       << w.corpus.total_elements() << " incidences; "
       << w.subcollections.size() << " seed-pair conversations, avg "
-      << sub_sets / w.subcollections.size() << " candidate sets; K=4 pool: "
-      << threads << " threads\n\n";
+      << sub_sets / w.subcollections.size() << " candidate sets\n\n";
 
   DiscoveryOptions options;
   options.max_questions = 500;  // §6 guard; never hit on this workload
@@ -275,52 +222,37 @@ int main(int argc, char** argv) {
                          dont_know_rate)
                 : std::string())
         << ", k-LP memo cleared per conversation (uncached regime):\n";
-    TablePrinter table({"selector", "engine", "full us/step", "delta us/step",
-                        "speedup", "steps"});
+    TablePrinter table(
+        {"selector", "full us/step", "delta us/step", "speedup", "steps"});
     for (const ModeSpec& spec : CountingStrategies(&weights)) {
-      for (bool use_sharded : {false, true}) {
-        if (use_sharded && !spec.make_sharded) continue;
-        std::vector<Transcript> full_transcripts, delta_transcripts;
-        StepTiming full, delta;
-        if (!use_sharded) {
-          full = RunUnsharded(w.corpus, idx, w.subcollections, spec,
-                              /*differential=*/false, dont_know_rate, options,
-                              &full_transcripts);
-          delta = RunUnsharded(w.corpus, idx, w.subcollections, spec,
-                               /*differential=*/true, dont_know_rate, options,
-                               &delta_transcripts);
-        } else {
-          full = RunSharded(sharded, w.subcollections, spec,
-                            /*differential=*/false, dont_know_rate, options,
-                            &pool, &full_transcripts);
-          delta = RunSharded(sharded, w.subcollections, spec,
-                             /*differential=*/true, dont_know_rate, options,
-                             &pool, &delta_transcripts);
-        }
-        RequireParity(full_transcripts, delta_transcripts,
-                      spec.name + (use_sharded ? "/K=4" : "/unsharded"));
-        const char* engine = use_sharded ? "K=4" : "unsharded";
-        const double speedup = full.us_per_step / delta.us_per_step;
-        if (assert_speedups && speedup < 1.0) {
-          assert_failures.push_back(
-              Format("%s/%s dk=%.1f: %.3fx", spec.name.c_str(), engine,
-                     dont_know_rate, speedup));
-        }
-        table.AddRow({spec.name, engine, Format("%.1f", full.us_per_step),
-                      Format("%.1f", delta.us_per_step),
-                      Format("%.2fx", full.us_per_step / delta.us_per_step),
-                      Format("%zu", delta.steps)});
-        report.Add(JsonReport::Row()
-                       .Str("section", "per_step")
-                       .Str("selector", spec.name)
-                       .Str("engine", engine)
-                       .Num("dont_know_rate", dont_know_rate)
-                       .Num("full_us_per_step", full.us_per_step)
-                       .Num("delta_us_per_step", delta.us_per_step)
-                       .Num("speedup", full.us_per_step / delta.us_per_step)
-                       .Int("steps", static_cast<int64_t>(delta.steps))
-                       .Bool("parity", true));
+      std::vector<Transcript> full_transcripts, delta_transcripts;
+      const StepTiming full = RunSessions(
+          w.corpus, idx, w.subcollections, spec, /*differential=*/false,
+          dont_know_rate, options, &full_transcripts);
+      const StepTiming delta = RunSessions(
+          w.corpus, idx, w.subcollections, spec, /*differential=*/true,
+          dont_know_rate, options, &delta_transcripts);
+      RequireParity(full_transcripts, delta_transcripts, spec.name);
+      const double speedup = full.us_per_step / delta.us_per_step;
+      if (assert_speedups && speedup < 1.0) {
+        assert_failures.push_back(Format("%s dk=%.1f: %.3fx",
+                                         spec.name.c_str(), dont_know_rate,
+                                         speedup));
       }
+      table.AddRow({spec.name, Format("%.1f", full.us_per_step),
+                    Format("%.1f", delta.us_per_step),
+                    Format("%.2fx", speedup), Format("%zu", delta.steps)});
+      // "engine" keeps the committed rows' identity (BENCH_counting.json).
+      report.Add(JsonReport::Row()
+                     .Str("section", "per_step")
+                     .Str("selector", spec.name)
+                     .Str("engine", "unsharded")
+                     .Num("dont_know_rate", dont_know_rate)
+                     .Num("full_us_per_step", full.us_per_step)
+                     .Num("delta_us_per_step", delta.us_per_step)
+                     .Num("speedup", speedup)
+                     .Int("steps", static_cast<int64_t>(delta.steps))
+                     .Bool("parity", true));
     }
     table.Print(out);
     out << "\n";
@@ -334,56 +266,44 @@ int main(int argc, char** argv) {
         rounds * static_cast<int>(w.subcollections.size());
     out << "sessions/sec through the SessionManager (" << num_sessions
         << " 2-LP conversations, " << threads << " pool threads):\n";
-    TablePrinter table(
-        {"engine", "full sess/sec", "delta sess/sec", "speedup"});
-    for (size_t num_shards : {size_t{1}, size_t{4}}) {
-      double rates[2];
-      for (bool differential : {false, true}) {
-        SessionManagerOptions manager_options;
-        manager_options.discovery = options;
-        manager_options.num_threads = threads;
-        manager_options.num_shards = num_shards;
-        manager_options.selector_factory = [differential] {
-          KlpOptions o = KlpOptions::MakeKlp(2, CostMetric::kAvgDepth);
-          o.enable_delta_counting = differential;
-          return std::make_unique<KlpSelector>(o);
-        };
-        manager_options.sharded_selector_factory = [differential] {
-          KlpOptions o = KlpOptions::MakeKlp(2, CostMetric::kAvgDepth);
-          o.enable_delta_counting = differential;
-          return std::make_unique<ShardedKlpSelector>(o);
-        };
-        SessionManager manager(w.corpus, idx, manager_options);
-        WallTimer timer;
-        std::vector<std::future<bool>> jobs;
-        jobs.reserve(num_sessions);
-        for (int i = 0; i < num_sessions; ++i) {
-          const SeedPairEntry& entry =
-              w.subcollections[i % w.subcollections.size()];
-          SetId target = entry.set_ids[(i * 7919 + 13) % entry.set_ids.size()];
-          jobs.push_back(
-              manager.pool().Submit([&manager, &w, &entry, target] {
-                SimulatedOracle oracle(&w.corpus, target);
-                std::vector<EntityId> initial = {entry.a, entry.b};
-                SessionView view =
-                    manager.Drive(manager.Create(initial), oracle);
-                manager.Close(view.id);
-                return view.state == SessionState::kFinished;
-              }));
-        }
-        for (auto& job : jobs) job.get();
-        rates[differential ? 1 : 0] = num_sessions / timer.Seconds();
+    TablePrinter table({"full sess/sec", "delta sess/sec", "speedup"});
+    double rates[2];
+    for (bool differential : {false, true}) {
+      SessionManagerOptions manager_options;
+      manager_options.discovery = options;
+      manager_options.num_threads = threads;
+      manager_options.selector_factory = [differential] {
+        KlpOptions o = KlpOptions::MakeKlp(2, CostMetric::kAvgDepth);
+        o.enable_delta_counting = differential;
+        return std::make_unique<KlpSelector>(o);
+      };
+      SessionManager manager(w.corpus, idx, manager_options);
+      WallTimer timer;
+      std::vector<std::future<bool>> jobs;
+      jobs.reserve(num_sessions);
+      for (int i = 0; i < num_sessions; ++i) {
+        const SeedPairEntry& entry =
+            w.subcollections[i % w.subcollections.size()];
+        SetId target = entry.set_ids[(i * 7919 + 13) % entry.set_ids.size()];
+        jobs.push_back(manager.pool().Submit([&manager, &w, &entry, target] {
+          SimulatedOracle oracle(&w.corpus, target);
+          std::vector<EntityId> initial = {entry.a, entry.b};
+          SessionView view = manager.Drive(manager.Create(initial), oracle);
+          manager.Close(view.id);
+          return view.state == SessionState::kFinished;
+        }));
       }
-      const char* engine = num_shards == 1 ? "unsharded" : "K=4";
-      table.AddRow({engine, Format("%.1f", rates[0]), Format("%.1f", rates[1]),
-                    Format("%.2fx", rates[1] / rates[0])});
-      report.Add(JsonReport::Row()
-                     .Str("section", "sessions_per_sec")
-                     .Str("engine", engine)
-                     .Num("full_sessions_per_sec", rates[0])
-                     .Num("delta_sessions_per_sec", rates[1])
-                     .Num("speedup", rates[1] / rates[0]));
+      for (auto& job : jobs) job.get();
+      rates[differential ? 1 : 0] = num_sessions / timer.Seconds();
     }
+    table.AddRow({Format("%.1f", rates[0]), Format("%.1f", rates[1]),
+                  Format("%.2fx", rates[1] / rates[0])});
+    report.Add(JsonReport::Row()
+                   .Str("section", "sessions_per_sec")
+                   .Str("engine", "unsharded")
+                   .Num("full_sessions_per_sec", rates[0])
+                   .Num("delta_sessions_per_sec", rates[1])
+                   .Num("speedup", rates[1] / rates[0]));
     table.Print(out);
     out << "(throughput gains shrink vs per-step: seeding, partitioning, "
            "and manager runway are unchanged, and sessions in one manager "

@@ -153,7 +153,7 @@ void SetJourneyEnabled(bool enabled);
 /// and `request_span`; the layers underneath fill the rest:
 ///  * SessionManager copies the session's stored trace id into `trace` when
 ///    the request didn't carry one, and stamps `session_id`;
-///  * BasicDiscoverySession::RecordStep emits the step + phase spans and
+///  * DiscoverySession::RecordStep emits the step + phase spans and
 ///    copies the step's totals back for exemplar decisions.
 struct JourneyContext {
   TraceId trace;

@@ -1,5 +1,7 @@
 #include "obs/trace.h"
 
+#include <array>
+
 #include "obs/registry.h"
 
 namespace setdisc::obs {
@@ -9,11 +11,10 @@ const char* PhaseName(Phase phase) {
     case Phase::kCacheLookup: return "cache_lookup";
     case Phase::kCount: return "count";
     case Phase::kOrder: return "order";
-    case Phase::kShardMerge: return "shard_merge";
     case Phase::kEmit: return "emit";
     case Phase::kSelect: return "select";
   }
-  return "unknown";
+  return nullptr;
 }
 
 const char* ServePathName(ServePath path) {
@@ -29,23 +30,22 @@ const char* ServePathName(ServePath path) {
 
 void RecordStepPhases(const PhaseAccum& accum) {
   if (!Enabled()) return;
-  // One registry lookup per phase for the process lifetime.
-  static Histogram* const phase_hists[kNumPhases] = {
-      MetricsRegistry::Default().GetHistogram(
-          "setdisc_step_phase_ns", {{"phase", PhaseName(Phase::kCacheLookup)}}),
-      MetricsRegistry::Default().GetHistogram(
-          "setdisc_step_phase_ns", {{"phase", PhaseName(Phase::kCount)}}),
-      MetricsRegistry::Default().GetHistogram(
-          "setdisc_step_phase_ns", {{"phase", PhaseName(Phase::kOrder)}}),
-      MetricsRegistry::Default().GetHistogram(
-          "setdisc_step_phase_ns", {{"phase", PhaseName(Phase::kShardMerge)}}),
-      MetricsRegistry::Default().GetHistogram(
-          "setdisc_step_phase_ns", {{"phase", PhaseName(Phase::kEmit)}}),
-      MetricsRegistry::Default().GetHistogram(
-          "setdisc_step_phase_ns", {{"phase", PhaseName(Phase::kSelect)}}),
-  };
+  // One registry lookup per phase for the process lifetime; the reserved
+  // slot keeps a null histogram (nothing charges it).
+  static const std::array<Histogram*, kNumPhases> phase_hists = [] {
+    std::array<Histogram*, kNumPhases> hists{};
+    for (size_t i = 0; i < kNumPhases; ++i) {
+      if (const char* name = PhaseName(static_cast<Phase>(i))) {
+        hists[i] = MetricsRegistry::Default().GetHistogram(
+            "setdisc_step_phase_ns", {{"phase", name}});
+      }
+    }
+    return hists;
+  }();
   for (size_t i = 0; i < kNumPhases; ++i) {
-    if (accum.ns[i] != 0) phase_hists[i]->Record(accum.ns[i]);
+    if (accum.ns[i] != 0 && phase_hists[i] != nullptr) {
+      phase_hists[i]->Record(accum.ns[i]);
+    }
   }
 }
 

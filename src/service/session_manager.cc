@@ -30,22 +30,9 @@ SessionManager::SessionManager(const SetCollection& collection,
   effort_level_.store(
       options_.initial_effort_level < 0 ? 0 : options_.initial_effort_level,
       std::memory_order_relaxed);
-  if (options_.num_shards > 1) {
-    SETDISC_CHECK_MSG(
-        options_.sharded_selector_factory != nullptr,
-        "SessionManagerOptions.sharded_selector_factory must be set when "
-        "num_shards > 1");
-    sharded_ = std::make_unique<ShardedCollection>(
-        collection_,
-        ShardingOptions{options_.num_shards, options_.shard_scheme});
-  } else {
-    SETDISC_CHECK_MSG(options_.selector_factory != nullptr,
-                      "SessionManagerOptions.selector_factory must be set");
-  }
+  SETDISC_CHECK_MSG(options_.selector_factory != nullptr,
+                    "SessionManagerOptions.selector_factory must be set");
   store_ = options_.session_store;
-  // Content fingerprint only (not the shard configuration): transcripts are
-  // byte-identical across shard counts, so a record spilled under one K
-  // legitimately resumes under another.
   store_fp_ = collection_.Fingerprint();
   if (store_ != nullptr) {
     // Never reissue a persisted id: a new session under a recycled id would
@@ -125,7 +112,7 @@ void SessionManager::ReaperLoop(std::chrono::milliseconds interval) {
 }
 
 SessionView SessionManager::MakeView(SessionId id,
-                                     const DiscoveryEngine& session,
+                                     const DiscoverySession& session,
                                      uint64_t token) {
   SessionView view;
   view.id = id;
@@ -141,42 +128,23 @@ SessionView SessionManager::MakeView(SessionId id,
 std::shared_ptr<SessionManager::Entry> SessionManager::NewEntry(
     std::span<const EntityId> initial, int effort, bool enable_trace) {
   auto entry = std::make_shared<Entry>();
-  // The initial Select() (inside the session constructors below) runs
+  // The initial Select() (inside the session constructor below) runs
   // outside the registry lock: it can be a real scan, and other sessions
   // must keep stepping meanwhile. (With the shared cache it is usually a
   // hash hit instead — the whole point.)
-  if (sharded_ != nullptr) {
-    std::unique_ptr<ShardedEntitySelector> selector =
-        options_.sharded_selector_factory();
-    SETDISC_CHECK_MSG(selector != nullptr,
-                      "sharded_selector_factory returned nullptr");
-    if (options_.selection_cache != nullptr) {
-      selector = std::make_unique<ShardedCachingSelector>(
-          std::move(selector), options_.selection_cache);
-    }
-    // The counting fan-out shares the step pool; ParallelFor callers help
-    // drain their own items, so pool jobs stepping sessions stay safe.
-    selector->set_pool(pool_.get());
-    // Pre-apply the requested level so the creation step's first Select()
-    // already runs at it (the effort source, attached later by the caller,
-    // only covers subsequent steps).
-    if (effort != 0) selector->SetEffort(effort);
-    entry->sharded_selector = std::move(selector);
-    entry->session = std::make_unique<ShardedDiscoverySession>(
-        *sharded_, initial, *entry->sharded_selector, options_.discovery,
-        pool_.get());
-  } else {
-    std::unique_ptr<EntitySelector> selector = options_.selector_factory();
-    SETDISC_CHECK_MSG(selector != nullptr, "selector_factory returned nullptr");
-    if (options_.selection_cache != nullptr) {
-      selector = std::make_unique<CachingSelector>(std::move(selector),
-                                                   options_.selection_cache);
-    }
-    if (effort != 0) selector->SetEffort(effort);
-    entry->selector = std::move(selector);
-    entry->session = std::make_unique<DiscoverySession>(
-        collection_, index_, initial, *entry->selector, options_.discovery);
+  std::unique_ptr<EntitySelector> selector = options_.selector_factory();
+  SETDISC_CHECK_MSG(selector != nullptr, "selector_factory returned nullptr");
+  if (options_.selection_cache != nullptr) {
+    selector = std::make_unique<CachingSelector>(std::move(selector),
+                                                 options_.selection_cache);
   }
+  // Pre-apply the requested level so the creation step's first Select()
+  // already runs at it (the effort source, attached later by the caller,
+  // only covers subsequent steps).
+  if (effort != 0) selector->SetEffort(effort);
+  entry->selector = std::move(selector);
+  entry->session = std::make_unique<DiscoverySession>(
+      collection_, index_, initial, *entry->selector, options_.discovery);
   if (enable_trace) {
     // Attached after the constructor's first Select(), so the creation step
     // itself is not in the ring — documented on Create().
@@ -222,9 +190,7 @@ SessionView SessionManager::Create(std::span<const EntityId> initial,
   }
   if (store_ != nullptr) {
     entry->record.collection_fingerprint = store_fp_;
-    entry->record.selector.assign(entry->selector != nullptr
-                                      ? entry->selector->name()
-                                      : entry->sharded_selector->name());
+    entry->record.selector.assign(entry->selector->name());
     entry->record.options = options_.discovery;
     entry->record.set_trace_enabled(enable_trace);
     entry->record.create_effort = EffortByte(create_effort);
@@ -246,33 +212,7 @@ SessionView SessionManager::Create(std::span<const EntityId> initial,
     // sessions, or an idle manager would grow without bound.
     std::lock_guard<std::mutex> lock(registry_mu_);
     if (!options_.background_reap) ReapExpiredLocked();
-    if (options_.max_sessions > 0 &&
-        sessions_.size() >= options_.max_sessions && !lru_.empty()) {
-      // Evict the least recently touched session: the front of the LRU list,
-      // in O(1) — no scan. With a store configured this is a *spill*: the
-      // record stays on disk and the session is resumable.
-      SessionId victim = lru_.front();
-      auto vit = sessions_.find(victim);
-      SETDISC_CHECK_MSG(vit != sessions_.end(), "LRU list out of sync");
-      const bool victim_finished =
-          vit->second->finished.load(std::memory_order_relaxed);
-      lru_.pop_front();
-      sessions_.erase(vit);
-      obs::FlightRecorder::Global().Record(
-          obs::FlightEventKind::kSessionEvicted,
-          static_cast<int64_t>(victim),
-          static_cast<int64_t>(sessions_.size()));
-      if (store_ != nullptr) {
-        if (victim_finished) {
-          store_->Erase(victim);
-        } else {
-          if (spilled_counter_ != nullptr) spilled_counter_->Add();
-          obs::FlightRecorder::Global().Record(
-              obs::FlightEventKind::kSessionSpilled,
-              static_cast<int64_t>(victim));
-        }
-      }
-    }
+    EvictLruLocked();
     view.id = next_id_++;
     ++num_created_;
     if (issue_token) {
@@ -300,14 +240,43 @@ SessionView SessionManager::Create(std::span<const EntityId> initial,
   return view;
 }
 
+void SessionManager::EvictLruLocked() {
+  if (options_.max_sessions == 0 || sessions_.size() < options_.max_sessions ||
+      lru_.empty()) {
+    return;
+  }
+  const SessionId victim = lru_.front();
+  auto vit = sessions_.find(victim);
+  SETDISC_CHECK_MSG(vit != sessions_.end(), "LRU list out of sync");
+  const bool victim_finished =
+      vit->second->finished.load(std::memory_order_relaxed);
+  lru_.pop_front();
+  sessions_.erase(vit);
+  obs::FlightRecorder::Global().Record(obs::FlightEventKind::kSessionEvicted,
+                                       static_cast<int64_t>(victim),
+                                       static_cast<int64_t>(sessions_.size()));
+  if (store_ == nullptr) return;
+  if (victim_finished) {
+    store_->Erase(victim);
+  } else {
+    if (spilled_counter_ != nullptr) spilled_counter_->Add();
+    obs::FlightRecorder::Global().Record(obs::FlightEventKind::kSessionSpilled,
+                                         static_cast<int64_t>(victim));
+  }
+}
+
+void SessionManager::TouchLocked(Entry& entry) {
+  entry.last_touched = clock_->Now();
+  entry.scratch_released = false;
+  // Move to the back of the LRU list; O(1), no allocation.
+  lru_.splice(lru_.end(), lru_, entry.lru_it);
+}
+
 std::shared_ptr<SessionManager::Entry> SessionManager::Find(SessionId id) {
   std::lock_guard<std::mutex> lock(registry_mu_);
   auto it = sessions_.find(id);
   if (it == sessions_.end()) return nullptr;
-  it->second->last_touched = clock_->Now();
-  it->second->scratch_released = false;
-  // Move to the back of the LRU list; O(1), no allocation.
-  lru_.splice(lru_.end(), lru_, it->second->lru_it);
+  TouchLocked(*it->second);
   return it->second;
 }
 
@@ -342,24 +311,17 @@ std::shared_ptr<SessionManager::Entry> SessionManager::Rehydrate(
   }
   std::shared_ptr<Entry> entry =
       NewEntry(rec.initial, rec.create_effort, rec.trace_enabled());
-  const std::string_view selector_name = entry->selector != nullptr
-                                             ? entry->selector->name()
-                                             : entry->sharded_selector->name();
-  if (selector_name != rec.selector) {
+  if (entry->selector->name() != rec.selector) {
     return fail("rehydrate: selector mismatch", id);
   }
   // Replay the journal with the selector pinned to each event's recorded
   // effort (no effort source yet, so manual SetEffort sticks — see
-  // DiscoveryEngine::SetEffortSource). A deterministic selector then
+  // DiscoverySession::SetEffortSource). A deterministic selector then
   // reproduces the exact candidate narrowing, exclusions, and transcript.
   int applied = rec.create_effort;
   for (const SessionEvent& ev : rec.events) {
     if (ev.effort != applied) {
-      if (entry->selector != nullptr) {
-        entry->selector->SetEffort(ev.effort);
-      } else {
-        entry->sharded_selector->SetEffort(ev.effort);
-      }
+      entry->selector->SetEffort(ev.effort);
       applied = ev.effort;
     }
     if (ev.kind == kEventAnswer) {
@@ -378,13 +340,7 @@ std::shared_ptr<SessionManager::Entry> SessionManager::Rehydrate(
   // Rejoin the live effort regime: pin the current level, then attach the
   // source so future controller moves land like on any other session.
   const int live = effort_level_.load(std::memory_order_relaxed);
-  if (live != applied) {
-    if (entry->selector != nullptr) {
-      entry->selector->SetEffort(live);
-    } else {
-      entry->sharded_selector->SetEffort(live);
-    }
-  }
+  if (live != applied) entry->selector->SetEffort(live);
   entry->session->SetEffortSource(&effort_level_);
   entry->token = rec.token;
   entry->finished.store(entry->session->done(), std::memory_order_relaxed);
@@ -396,32 +352,10 @@ std::shared_ptr<SessionManager::Entry> SessionManager::Rehydrate(
     if (it != sessions_.end()) {
       // Lost a rehydration race: the winner's entry is live — use it and
       // drop ours (identical by determinism, so nothing is lost).
-      it->second->last_touched = clock_->Now();
-      lru_.splice(lru_.end(), lru_, it->second->lru_it);
+      TouchLocked(*it->second);
       return it->second;
     }
-    if (options_.max_sessions > 0 &&
-        sessions_.size() >= options_.max_sessions && !lru_.empty()) {
-      SessionId victim = lru_.front();
-      auto vit = sessions_.find(victim);
-      SETDISC_CHECK_MSG(vit != sessions_.end(), "LRU list out of sync");
-      const bool victim_finished =
-          vit->second->finished.load(std::memory_order_relaxed);
-      lru_.pop_front();
-      sessions_.erase(vit);
-      obs::FlightRecorder::Global().Record(
-          obs::FlightEventKind::kSessionEvicted,
-          static_cast<int64_t>(victim),
-          static_cast<int64_t>(sessions_.size()));
-      if (victim_finished) {
-        store_->Erase(victim);
-      } else {
-        if (spilled_counter_ != nullptr) spilled_counter_->Add();
-        obs::FlightRecorder::Global().Record(
-            obs::FlightEventKind::kSessionSpilled,
-            static_cast<int64_t>(victim));
-      }
-    }
+    EvictLruLocked();
     entry->last_touched = clock_->Now();
     entry->lru_it = lru_.insert(lru_.end(), id);
     sessions_.emplace(id, entry);
@@ -656,10 +590,7 @@ size_t SessionManager::ReleaseIdleScratch() {
     // next tick reconsiders. (Its touch also cleared scratch_released.)
     std::unique_lock<std::mutex> step_lock(entry->mu, std::try_to_lock);
     if (!step_lock.owns_lock()) continue;
-    if (entry->selector != nullptr) entry->selector->ReleaseMemory();
-    if (entry->sharded_selector != nullptr) {
-      entry->sharded_selector->ReleaseMemory();
-    }
+    entry->selector->ReleaseMemory();
     step_lock.unlock();
     ++released;
     std::lock_guard<std::mutex> lock(registry_mu_);

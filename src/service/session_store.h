@@ -7,7 +7,7 @@
 /// initial examples, the discovery options, the selector it runs, and the
 /// ordered answer/verify events. Replaying those events through a fresh
 /// engine reproduces the exact candidate state, exclusion mask, and
-/// transcript — BasicDiscoverySession is deterministic by construction — so
+/// transcript — DiscoverySession is deterministic by construction — so
 /// the store persists the *inputs* of a session, not its derived state.
 /// That keeps records a few dozen bytes a step and makes rehydration
 /// byte-parity with a never-evicted session testable (the parity suite

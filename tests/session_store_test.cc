@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/selectors.h"
-#include "core/sharded_selectors.h"
 #include "service/durability.h"
 #include "service/session_manager.h"
 #include "service/session_store.h"
@@ -579,39 +578,30 @@ TEST(SpillParity, VerifyAndBacktrack) {
 }
 
 // ---------------------------------------------------------------------------
-// Manager integration: resume across a restart (and across shard counts)
+// Manager integration: resume across a restart
 // ---------------------------------------------------------------------------
 
 // Partially drives sessions under one manager, tears the whole stack down,
-// reopens the store from disk under a fresh manager (possibly sharded
-// differently), and finishes the conversations — outcomes must match an
-// uninterrupted reference run. Deterministic oracles (no errors, no
-// don't-knows) so the continuation is a pure function of the questions.
-void CheckRestartResume(size_t shards_before, size_t shards_after) {
+// reopens the store from disk under a fresh manager, and finishes the
+// conversations — outcomes must match an uninterrupted reference run.
+// Deterministic oracles (no errors, no don't-knows) so the continuation is a
+// pure function of the questions.
+TEST(RestartResume, Unsharded) {
   SetCollection c = MakePaperCollection();
   InvertedIndex idx(c);
-  const std::string dir =
-      FreshDir("restart_" + std::to_string(shards_before) + "_" +
-               std::to_string(shards_after));
+  const std::string dir = FreshDir("restart");
 
-  auto make_options = [&](size_t shards) {
+  auto make_options = [] {
     SessionManagerOptions o;
     o.background_reap = false;
-    o.num_shards = shards;
-    if (shards > 1) {
-      o.sharded_selector_factory = [] {
-        return std::make_unique<ShardedMostEvenSelector>();
-      };
-    } else {
-      o.selector_factory = [] { return std::make_unique<MostEvenSelector>(); };
-    }
+    o.selector_factory = [] { return std::make_unique<MostEvenSelector>(); };
     return o;
   };
 
   // Uninterrupted reference.
   std::vector<DiscoveryResult> want;
   {
-    SessionManagerOptions o = make_options(1);
+    SessionManagerOptions o = make_options();
     SessionManager ref(c, idx, o);
     for (SetId target = 0; target < c.num_sets(); ++target) {
       SimulatedOracle oracle(&c, target, 0.0, 0.0, 1);
@@ -632,7 +622,7 @@ void CheckRestartResume(size_t shards_before, size_t shards_after) {
     sopt.dir = dir;
     SessionStore store(sopt);
     ASSERT_TRUE(store.Open(c.Fingerprint()).ok());
-    SessionManagerOptions o = make_options(shards_before);
+    SessionManagerOptions o = make_options();
     o.session_store = &store;
     SessionManager manager(c, idx, o);
     for (SetId target = 0; target < c.num_sets(); ++target) {
@@ -656,7 +646,7 @@ void CheckRestartResume(size_t shards_before, size_t shards_after) {
   SessionStore store(sopt);
   ASSERT_TRUE(store.Open(c.Fingerprint()).ok());
   EXPECT_EQ(store.size(), handles.size());
-  SessionManagerOptions o = make_options(shards_after);
+  SessionManagerOptions o = make_options();
   o.session_store = &store;
   SessionManager manager(c, idx, o);
 
@@ -690,12 +680,6 @@ void CheckRestartResume(size_t shards_before, size_t shards_after) {
     }
   }
 }
-
-TEST(RestartResume, Unsharded) { CheckRestartResume(1, 1); }
-
-TEST(RestartResume, ShardedToUnsharded) { CheckRestartResume(4, 1); }
-
-TEST(RestartResume, UnshardedToSharded) { CheckRestartResume(1, 4); }
 
 TEST(RestartResume, CloseErasesTheRecord) {
   SetCollection c = MakePaperCollection();
