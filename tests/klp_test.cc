@@ -5,16 +5,112 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <tuple>
 
 #include "core/bounds.h"
+#include "core/decision_tree.h"
 #include "core/klp.h"
+#include "core/weighted_klp.h"
 #include "test_util.h"
 
 namespace setdisc {
 namespace {
 
 using namespace setdisc::testing;
+
+// ---------------------------------------------------------------------------
+// Golden decisions: every node of every tree that Algorithm 3 builds over a
+// seeded sweep, for every lookahead configuration, folded into one digest.
+// The bound tests below only check values, so a change to which entity wins
+// a tie would pass them; this one fails on any change to a decision, to a
+// reported bound, or to the unweighted pruning counters.
+// ---------------------------------------------------------------------------
+
+/// 64-bit FNV-1a over 64-bit words.
+struct Fnv {
+  uint64_t h = 1469598103934665603ULL;
+  void Add(uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  }
+};
+
+/// Hands DecisionTree::Build the entity of SelectWithBound and folds each
+/// node's (entity, bound) into the digest.
+template <class Selector>
+class RecordingSelector : public EntitySelector {
+ public:
+  RecordingSelector(Selector* inner, Fnv* digest)
+      : inner_(inner), digest_(digest) {}
+  EntityId Select(const SubCollection& sub,
+                  const EntityExclusion* excluded) override {
+    auto sel = inner_->SelectWithBound(sub, kInfiniteCost, excluded);
+    digest_->Add(sel.entity);
+    digest_->Add(static_cast<uint64_t>(sel.bound));
+    return sel.entity;
+  }
+  std::string_view name() const override { return inner_->name(); }
+
+ private:
+  Selector* inner_;
+  Fnv* digest_;
+};
+
+void AddStats(const KlpStats& s, Fnv* digest) {
+  for (uint64_t v :
+       {s.totals.candidates, s.totals.fully_evaluated, s.totals.pruned_by_break,
+        s.totals.pruned_by_child, s.totals.excluded_by_beam, s.recursive_calls,
+        s.cache_hits, s.cache_misses, s.entities_evaluated_deep}) {
+    digest->Add(v);
+  }
+}
+
+TEST(Klp, GoldenDecisionDigest) {
+  const std::vector<KlpOptions> unweighted = {
+      KlpOptions::MakeKlp(2, CostMetric::kAvgDepth),
+      KlpOptions::MakeKlp(2, CostMetric::kHeight),
+      KlpOptions::MakeKlp(3, CostMetric::kAvgDepth),
+      KlpOptions::MakeKlp(3, CostMetric::kHeight),
+      KlpOptions::MakeKlple(3, 3, CostMetric::kAvgDepth),
+      KlpOptions::MakeKlplve(3, 3, CostMetric::kAvgDepth),
+      KlpOptions::MakeGainK(2, CostMetric::kAvgDepth),
+  };
+  std::vector<WeightedKlpOptions> weighted(4);
+  for (int k = 1; k <= 3; ++k) weighted[k - 1].k = k;
+  weighted[3].beam_width = 3;
+
+  Fnv digest;
+  for (uint32_t n : {6u, 9u, 13u, 18u, 24u, 32u, 40u}) {
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      SetCollection c = RandomCollection(seed * 1009 + n, n, 2 * n, 0.35);
+      SubCollection full = SubCollection::Full(&c);
+      std::vector<KlpOptions> configs = unweighted;
+      if (n <= 13) {
+        configs.push_back(KlpOptions::MakeOptimal(CostMetric::kAvgDepth));
+        configs.push_back(KlpOptions::MakeOptimal(CostMetric::kHeight));
+      }
+      for (const KlpOptions& options : configs) {
+        KlpSelector klp(options);
+        RecordingSelector<KlpSelector> recorder(&klp, &digest);
+        DecisionTree::Build(full, recorder);
+        AddStats(klp.stats(), &digest);
+      }
+      Rng rng(seed * 31 + n);
+      std::vector<double> prior(c.num_sets());
+      for (double& w : prior) w = 0.05 + rng.UniformDouble();
+      for (const WeightedKlpOptions& options : weighted) {
+        WeightedKlpSelector wklp(&prior, options);
+        RecordingSelector<WeightedKlpSelector> recorder(&wklp, &digest);
+        DecisionTree::Build(full, recorder);
+      }
+    }
+  }
+  EXPECT_EQ(digest.h, 0x256a8facd3ad63cdULL) << std::hex << "0x" << digest.h;
+}
 
 TEST(KlpOptions, PresetsAndNames) {
   KlpSelector klp(KlpOptions::MakeKlp(2, CostMetric::kAvgDepth));
