@@ -2,192 +2,155 @@
 
 /// \file weighted_klp.h
 /// Weighted k-LP — the §7 future-work extension "scenarios where the sets to
-/// be discovered are not equally likely", carried through the full k-LP
-/// machinery rather than just the 1-step greedy of weighted.h.
+/// be discovered are not equally likely" — is Algorithm 1 (lookahead.h)
+/// under the Shannon cost model below.
 ///
-/// Cost model: each set s has prior weight w_s; the cost of a tree is the
-/// expected number of questions under the prior, i.e. the *weighted* average
-/// leaf depth. Internally costs are weighted-total-depth integers over
-/// quantized weights (so pruning comparisons stay exact, as in cost.h):
+/// ShannonCost: each set s has prior weight w_s; the cost of a tree is the
+/// expected number of questions under the prior. Costs are
+/// weighted-total-depth integers over quantized weights qw_s, so pruning
+/// comparisons stay exact:
 ///
 ///   WTD(T) = Σ_s qw_s · depth(s),   expected questions = WTD / W.
 ///
-/// Lower bound: Shannon's noiseless-coding bound — leaf depths form a
-/// prefix code, so E[depth] >= H(p) and
+/// LB_0 is Shannon's noiseless-coding bound (leaf depths form a prefix
+/// code, so E[depth] >= H(p)):
 ///
-///   LB0_w(C) = floor( Σ_s qw_s · log2(W(C)/qw_s) ).
+///   LB0_w(C) = floor( Σ_s qw_s · log2(W(C)/qw_s) ),
 ///
-/// The §4.1 recurrences carry over verbatim in weighted units:
-///   Combine_w(c1, c2, W) = c1 + c2 + W,  UL_w analogous to Eqs. 11-14.
-/// The entropy chain rule gives LB1_w(e) = W·H(C) − W·h2(W1/W) + W, a
-/// decreasing function of the *weighted* split evenness — so the sorted
-/// early break of Algorithm 1 remains sound with weighted-imbalance order.
+/// and the §4.1 recurrences carry over in weighted units: Combine_w(c1, c2)
+/// = c1 + c2 + W, with the upper limits analogous to Eqs. 11-14. A split is
+/// known by its contained count, mass and Σ qw·log2(qw), from one pass over
+/// the node's sets. The line-11 order is the weight imbalance |2·W1 - W|.
+/// By the entropy chain rule LB_1 = W·H(C) − W·h2(W1/W) + W falls as the
+/// split gets more even, but the per-half floors can order near-ties
+/// otherwise, so the early break skips candidates one by one.
 
-#include <memory>
-#include <string>
-#include <string_view>
-#include <unordered_map>
+#include <cstdlib>
 #include <vector>
 
-#include "collection/delta_counter.h"
-#include "collection/entity_counter.h"
-#include "collection/sub_collection.h"
-#include "core/cost.h"
-#include "core/selector.h"
+#include "core/lookahead.h"
 
 namespace setdisc {
 
 /// Options for the weighted search (a subset of KlpOptions).
 struct WeightedKlpOptions {
   int k = 2;
-  int beam_width = -1;          ///< q; <= 0 unlimited
+  int beam_width = -1;  ///< q; <= 0 unlimited
   bool enable_early_break = true;
   bool enable_upper_limits = true;
   bool enable_memoization = true;
-
-  /// Serve the top-level counting pass differentially from the previous
-  /// step's retained counts (collection/delta_counter.h) when the session
-  /// reports partitions via NotePartition. Decision-neutral — counts are
-  /// exact on every path.
   bool enable_delta_counting = true;
-
-  /// Quantization target: the largest weight maps to this many integer
-  /// units. Larger = finer prior resolution, smaller = more headroom.
-  uint64_t weight_resolution = 1 << 20;
 };
 
-/// Result of a weighted selection: entity plus its weighted k-step bound
-/// (weighted-total-depth units; divide by the sub-collection's total weight
-/// for expected questions).
-struct WeightedSelection {
-  EntityId entity = kNoEntity;
-  Cost bound = kInfiniteCost;
+/// A weighted selection: entity plus its weighted k-step bound (divide by
+/// the sub-collection's total weight for expected questions).
+using WeightedSelection = KlpSelection;
+
+/// The Shannon cost model over a fixed set prior.
+class ShannonCost {
+ public:
+  /// The largest weight quantizes to this many integer units.
+  static constexpr uint64_t kWeightResolution = 1 << 20;
+
+  struct Candidate {
+    EntityId entity;
+    uint32_t count;   ///< contained sets
+    Cost weight_in;   ///< contained quantized mass
+    double qlog_in;   ///< contained Σ qw·log2(qw)
+  };
+  struct Node {
+    uint64_t n;
+    Cost weight;
+    double qlog;
+  };
+  static constexpr bool kLb1MonotoneInOrder = false;
+
+  explicit ShannonCost(const std::vector<double>* weights);
+
+  /// Quantized weight of one set (>= 1, so every set stays discoverable;
+  /// out-of-range ids quantize as weight zero, i.e. one unit).
+  Cost QuantizedWeight(SetId s) const {
+    return s < quantized_.size() ? quantized_[s] : 1;
+  }
+
+  Node Prepare(const SubCollection& sub) const;
+  /// One dense pass over the node's sets sums each candidate's contained
+  /// mass and Σ qw·log2(qw) (doubles, so the pass is fresh per node rather
+  /// than derived from the parent's).
+  std::vector<Candidate>& Weigh(const SubCollection& sub, const Node& node,
+                                const std::vector<EntityCount>& counts,
+                                std::vector<Candidate>& out);
+  Cost Lb0(const Node& node) const {
+    return node.n <= 1 ? 0 : Lb0FromSums(node.weight, node.qlog);
+  }
+  Cost Lb1(const Node& node, const Candidate& c) const {
+    return Lb0In(c) + Lb0Out(node, c) + node.weight;
+  }
+  Cost Combine(const Node& node, Cost l_in, Cost l_out) const {
+    return l_in + l_out + node.weight;
+  }
+  Cost UpperLimitFirst(const Node& node, const Candidate& c,
+                       Cost best) const {
+    return best - node.weight - Lb0Out(node, c);
+  }
+  Cost UpperLimitSecond(const Node& node, Cost best, Cost l_in) const {
+    return best - node.weight - l_in;
+  }
+  Cost OrderKey(const Node& node, const Candidate& c) const {
+    return std::llabs(2 * c.weight_in - node.weight);
+  }
+  void Release();
+
+ private:
+  /// Σ qw·log2(W/qw) = log2(W)·W − Σ qw·log2(qw), floored so the bound
+  /// stays a lower bound after quantizing.
+  static Cost Lb0FromSums(Cost weight, double qlog);
+  Cost Lb0In(const Candidate& c) const {
+    return c.count <= 1 ? 0 : Lb0FromSums(c.weight_in, c.qlog_in);
+  }
+  Cost Lb0Out(const Node& node, const Candidate& c) const {
+    return node.n - c.count <= 1
+               ? 0
+               : Lb0FromSums(node.weight - c.weight_in, node.qlog - c.qlog_in);
+  }
+
+  /// Per-set qw and qw·log2(qw), fixed at construction.
+  std::vector<Cost> quantized_;
+  std::vector<double> weight_log_;
+  /// Weigh()'s dense per-entity accumulators.
+  std::vector<uint64_t> mass_acc_;
+  std::vector<double> qlog_acc_;
 };
 
 /// Entity selection minimizing the k-step lower bound on expected questions
 /// under a set prior.
-class WeightedKlpSelector : public EntitySelector {
+class WeightedKlpSelector : public LookaheadSelector<ShannonCost> {
  public:
   /// `weights` is indexed by SetId over the parent collection and must
   /// outlive the selector; entries must be positive where used.
   WeightedKlpSelector(const std::vector<double>* weights,
                       WeightedKlpOptions options);
-  ~WeightedKlpSelector() override;
-
-  EntityId Select(const SubCollection& sub,
-                  const EntityExclusion* excluded = nullptr) override;
-
-  WeightedSelection SelectWithBound(const SubCollection& sub,
-                                    Cost upper_limit,
-                                    const EntityExclusion* excluded = nullptr);
-
-  std::string_view name() const override { return name_; }
 
   /// The name encodes k but not the prior; the decisions depend on both.
   uint64_t DecisionFingerprint() const override;
 
-  /// Quantized weight of one set (>= 1).
-  Cost QuantizedWeight(SetId s) const;
-
+  Cost QuantizedWeight(SetId s) const { return model_.QuantizedWeight(s); }
   /// Total quantized weight of a sub-collection.
-  Cost TotalWeight(const SubCollection& sub) const;
-
+  Cost TotalWeight(const SubCollection& sub) const {
+    return model_.Prepare(sub).weight;
+  }
   /// Shannon lower bound LB0_w in weighted-total-depth units.
-  Cost WeightedLb0(const SubCollection& sub) const;
-
-  /// Differential-counting hooks: the top-level counting pass (the only one
-  /// over the full candidate view, hence the dominant one) is served by a
-  /// DeltaCounter; the lookahead recursion's passes keep their own plain
-  /// counter, since they sweep sibling views that would break the chain.
-  void NotePartition(const SubCollection& parent, EntityId e,
-                     bool kept_contains, const SubCollection& kept,
-                     SubCollection dropped) override {
-    (void)e;
-    (void)kept_contains;
-    delta_counter_.NotePartition(parent, kept, std::move(dropped));
+  Cost WeightedLb0(const SubCollection& sub) const {
+    return model_.Lb0(model_.Prepare(sub));
   }
-  void InvalidateCountState() override { delta_counter_.Invalidate(); }
-  void ReleaseMemory() override;
-
-  /// Full/delta/re-emit breakdown of the top-level counting passes.
-  const DeltaCounterStats& counting_stats() const {
-    return delta_counter_.stats();
-  }
-
-  /// Drops the (ids, k) memo only — benches clear it between conversations
-  /// so the uncached counting cost is what gets measured.
-  void ClearCache() { cache_.clear(); }
 
  private:
-  struct MemoKey {
-    std::vector<SetId> ids;
-    int32_t k;
-    bool operator==(const MemoKey&) const = default;
-  };
-  struct MemoKeyHash {
-    size_t operator()(const MemoKey& key) const;
-  };
-  struct MemoEntry {
-    EntityId entity;
-    Cost bound;
-  };
-
-  WeightedSelection SelectImpl(const SubCollection& sub, int k,
-                               Cost upper_limit,
-                               const EntityExclusion* excluded);
-
-  /// Fills `candidates` with per-entity split sums for every entry of
-  /// `counts`, via one dense epoch-stamped pass over the view's sets:
-  /// contained set count, contained quantized mass (integer — exact
-  /// regardless of accumulation order), and contained Σ qw·log2(qw). With
-  /// the view's own totals, those three numbers give both halves' sizes,
-  /// weights, and Shannon floors (Lb0FromSums) — so a candidate's 1-step
-  /// bound costs O(1), leaf nodes (k <= 1) never call Partition at all,
-  /// and interior nodes partition only candidates that survive the
-  /// early-break check.
-  struct Candidate {
-    EntityId entity;
-    uint32_t count;
-    Cost weight_in;
-    double qlog_in;
-  };
-  void WeighCandidates(const SubCollection& sub,
-                       const std::vector<EntityCount>& counts,
-                       std::vector<Candidate>* candidates);
-
-  /// Shannon floor from a view's weight sums: Σ qw·log2(W/qw) =
-  /// log2(W)·W − Σ qw·log2(qw), so a view's bound needs only its total
-  /// weight and its Σ qw·log2(qw) — both one-lookup-per-set accumulations
-  /// over the tables below, and both derivable for a partition's second
-  /// half by subtraction from the parent's sums.
-  static Cost Lb0FromSums(Cost total_weight, double qlog_sum);
-
   const std::vector<double>* weights_;
-  WeightedKlpOptions options_;
-  std::string name_;
-  double quantization_scale_ = 1.0;
-  /// Per-set quantized weight and qw·log2(qw), fixed at construction (the
-  /// prior is immutable): the recursion's bound math never recomputes
-  /// llround or log2 per call.
-  std::vector<Cost> quantized_;
-  std::vector<double> weight_log_;
-  EntityCounter counter_;
-  /// Top-level counting state; armed by NotePartition between steps.
-  DeltaCounter delta_counter_;
-  std::unordered_map<MemoKey, MemoEntry, MemoKeyHash> cache_;
-  int depth_ = 0;
-  std::vector<std::unique_ptr<std::vector<EntityCount>>> scratch_;
-  /// Dense per-entity accumulators for WeighCandidates (quantized mass and
-  /// qw·log2(qw) mass), epoch-stamped so they never need clearing.
-  std::vector<Cost> weight_acc_;
-  std::vector<double> qlog_acc_;
-  std::vector<uint32_t> weight_stamp_;
-  uint32_t weight_epoch_ = 0;
 };
 
 /// Unpruned exhaustive weighted k-step bound — the test reference for the
-/// pruned search (analogous to bounds.h's LbKAllEntities). Runs the same
-/// recursion with every pruning switch off. Use on small inputs only.
+/// pruned search (analogous to bounds.h's LbKAllEntities). Use on small
+/// inputs only.
 Cost WeightedLbKReference(const SubCollection& sub,
                           const std::vector<double>* weights,
                           WeightedKlpOptions options);

@@ -216,6 +216,24 @@ TEST(Klp, ExclusionsBypassCacheAndAvoidEntities) {
   EntityId other = klp.Select(full, &excluded);
   EXPECT_NE(other, unrestricted);
   EXPECT_NE(other, kNoEntity);
+
+  // A lookahead child with nothing left to ask counts at its LB_0 instead
+  // of pruning the candidate, so every variant still asks a or x.
+  SetCollection three = MakeDeadEndCollection();
+  SubCollection all = SubCollection::Full(&three);
+  EntityExclusion no_b(three.universe_size(), false);
+  no_b[kDeadEndB] = true;
+  for (CostMetric metric : {CostMetric::kAvgDepth, CostMetric::kHeight}) {
+    for (const KlpOptions& options :
+         {KlpOptions::MakeKlp(2, metric), KlpOptions::MakeKlp(3, metric),
+          KlpOptions::MakeKlple(3, 1, metric),
+          KlpOptions::MakeKlplve(3, 1, metric),
+          KlpOptions::MakeGainK(2, metric), KlpOptions::MakeOptimal(metric)}) {
+      KlpSelector sel(options);
+      EntityId e = sel.Select(all, &no_b);
+      EXPECT_TRUE(e == kDeadEndA || e == kDeadEndX) << sel.name() << ": " << e;
+    }
+  }
 }
 
 TEST(Klp, StatsAccumulateAndReset) {

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <thread>
 
+#include "core/klp.h"
 #include "core/selectors.h"
 #include "service/discovery_session.h"
 #include "service/session_manager.h"
@@ -163,6 +164,24 @@ TEST(DiscoverySession, SingleCandidateNeedsNoQuestions) {
   EXPECT_EQ(session.result().questions, 0);
   ASSERT_TRUE(session.result().found());
   EXPECT_EQ(c.label(session.result().discovered()), "S2");
+}
+
+// A don't-know on b leaves {x}, {a,b}, {a} with a dead-end half for every
+// candidate's lookahead; one more question still narrows them.
+TEST(DiscoverySession, DontKnowIntoADeadEndStillAsks) {
+  SetCollection c = MakeDeadEndCollection();
+  InvertedIndex idx(c);
+  KlpSelector sel(KlpOptions::MakeKlp(2, CostMetric::kAvgDepth));
+  DiscoveryOptions options;
+  options.handle_dont_know = true;
+  DiscoverySession session(c, idx, {}, sel, options);
+  ASSERT_EQ(session.NextQuestion(), kDeadEndB);
+  session.SubmitAnswer(Oracle::Answer::kDontKnow);
+  ASSERT_FALSE(session.done()) << "finished with "
+                               << session.result().candidates.size()
+                               << " candidates";
+  EXPECT_TRUE(session.NextQuestion() == kDeadEndA ||
+              session.NextQuestion() == kDeadEndX);
 }
 
 // ---------------------------------------------------------------------------

@@ -44,6 +44,19 @@ inline SetCollection MakePaperCollectionC2() {
   return b.Build();
 }
 
+/// The §6 dead end: sets {x}, {a,b}, {a} with b = 0, a = 1, x = 2, so the
+/// root's most-even tie goes to b. Once b is excluded (a don't-know), the
+/// half {a,b},{a} has no entity left to ask, yet a and x still split the
+/// three sets.
+inline constexpr EntityId kDeadEndB = 0, kDeadEndA = 1, kDeadEndX = 2;
+inline SetCollection MakeDeadEndCollection() {
+  SetCollectionBuilder b;
+  b.AddSet({kDeadEndX});
+  b.AddSet({kDeadEndB, kDeadEndA});
+  b.AddSet({kDeadEndA});
+  return b.Build();
+}
+
 /// A random collection of `n` unique sets over `m` entities where each
 /// entity joins each set with probability `density`. Sets are regenerated
 /// until unique and non-empty, so the result always has exactly n sets.

@@ -83,6 +83,22 @@ TEST(WeightedKlp, RespectsExclusions) {
   EntityId second = sel.Select(full, &excluded);
   EXPECT_NE(second, first);
   EXPECT_NE(second, kNoEntity);
+
+  // A child with nothing left to ask counts at its Shannon floor instead of
+  // pruning the candidate, with upper limits on or off.
+  SetCollection three = MakeDeadEndCollection();
+  SubCollection all = SubCollection::Full(&three);
+  EntityExclusion no_b(three.universe_size(), false);
+  no_b[kDeadEndB] = true;
+  std::vector<double> three_weights = UniformWeights(3);
+  for (bool upper_limits : {true, false}) {
+    WeightedKlpOptions opts;
+    opts.enable_upper_limits = upper_limits;
+    WeightedKlpSelector dead_end(&three_weights, opts);
+    EntityId e = dead_end.Select(all, &no_b);
+    EXPECT_TRUE(e == kDeadEndA || e == kDeadEndX)
+        << "upper limits " << upper_limits << ": " << e;
+  }
 }
 
 // Pruning soundness: the pruned weighted search returns the same bound as
