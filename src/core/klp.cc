@@ -1,24 +1,31 @@
 #include "core/klp.h"
 
-#include <iterator>
-
 #include "obs/registry.h"
 #include "util/table_printer.h"
 
 namespace setdisc {
 
 void PublishKlpNodeStats(const NodeStats& node) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  static obs::Counter* const counters[] = {
-      registry.GetCounter("setdisc_klp_candidates_total"),
-      registry.GetCounter("setdisc_klp_fully_evaluated_total"),
-      registry.GetCounter("setdisc_klp_pruned_total", {{"reason", "break"}}),
-      registry.GetCounter("setdisc_klp_pruned_total", {{"reason", "child"}}),
-      registry.GetCounter("setdisc_klp_pruned_total", {{"reason", "beam"}})};
-  const uint64_t values[] = {node.candidates, node.fully_evaluated,
-                             node.pruned_by_break, node.pruned_by_child,
-                             node.excluded_by_beam};
-  for (size_t i = 0; i < std::size(values); ++i) counters[i]->Add(values[i]);
+  static obs::Counter* const candidates =
+      obs::MetricsRegistry::Default().GetCounter(
+          "setdisc_klp_candidates_total");
+  static obs::Counter* const fully_evaluated =
+      obs::MetricsRegistry::Default().GetCounter(
+          "setdisc_klp_fully_evaluated_total");
+  static obs::Counter* const pruned_break =
+      obs::MetricsRegistry::Default().GetCounter("setdisc_klp_pruned_total",
+                                                 {{"reason", "break"}});
+  static obs::Counter* const pruned_child =
+      obs::MetricsRegistry::Default().GetCounter("setdisc_klp_pruned_total",
+                                                 {{"reason", "child"}});
+  static obs::Counter* const pruned_beam =
+      obs::MetricsRegistry::Default().GetCounter("setdisc_klp_pruned_total",
+                                                 {{"reason", "beam"}});
+  candidates->Add(node.candidates);
+  fully_evaluated->Add(node.fully_evaluated);
+  pruned_break->Add(node.pruned_by_break);
+  pruned_child->Add(node.pruned_by_child);
+  pruned_beam->Add(node.excluded_by_beam);
 }
 
 KlpOptions KlpOptions::MakeKlp(int k, CostMetric metric) {

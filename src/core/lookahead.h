@@ -161,14 +161,12 @@ class LookaheadSelector : public EntitySelector {
   }
 
   std::string_view name() const override { return name_; }
-  const KlpOptions& options() const { return options_; }
 
   /// Load-adaptive degradation: each effort level shaves one step off the
   /// lookahead depth, down to 1 (MostEven-equivalent, Lemma 4.3) — worse
   /// questions, never wrong ones. Level 0 is byte-identical to a selector
   /// without the knob, and the memo needs no flush since k is in its key.
   void SetEffort(int level) override { effort_ = level < 0 ? 0 : level; }
-  int effort() const { return effort_; }
   int effective_k() const {
     const int k = options_.k - effort_;
     return k < 1 ? 1 : k;
@@ -261,10 +259,6 @@ class LookaheadSelector : public EntitySelector {
            0xC2B2AE3D27D4EB4FULL;
       return static_cast<size_t>(h);
     }
-  };
-  struct MemoEntry {
-    EntityId entity;
-    Cost bound;
   };
 
   /// What a node's search found. `dead_end`: the node has >= 2 sets but no
@@ -367,7 +361,8 @@ class LookaheadSelector : public EntitySelector {
     }
     if (counts.empty()) return {kNoEntity, model_.Lb0(node), true};
     if (node_stats != nullptr) node_stats->candidates = counts.size();
-    std::vector<Candidate>& cands = model_.Weigh(sub, node, counts, level.cands);
+    std::vector<Candidate>& cands =
+        model_.Weigh(sub, node, counts, level.cands);
 
     // Line-11 order: evenness key, then entity id.
     const auto before = [&](const Candidate& a, const Candidate& b) {
@@ -379,17 +374,24 @@ class LookaheadSelector : public EntitySelector {
 
     // Base case (lines 7-10): the LB_1 minimum, ties in line-11 order.
     if (k <= 1) {
-      const Candidate* win;
+      const Candidate* win = &cands[0];
       if constexpr (CostModel::kLb1MonotoneInOrder) {
-        // The least key is the LB_1 minimum, and no beam can cut it.
-        win = &*std::min_element(cands.begin(), cands.end(), before);
+        // The first least key (`cands` ascends by entity) is the LB_1
+        // minimum, and no beam can cut it.
+        auto win_key = model_.OrderKey(node, *win);
+        for (const Candidate& c : cands) {
+          const auto key = model_.OrderKey(node, c);
+          if (key < win_key) {
+            win = &c;
+            win_key = key;
+          }
+        }
       } else {
         if (beam > 0 && static_cast<size_t>(beam) < cands.size()) {
           std::nth_element(cands.begin(), cands.begin() + beam, cands.end(),
                            before);
           cands.resize(static_cast<size_t>(beam));
         }
-        win = &cands[0];
         Cost win_lb1 = model_.Lb1(node, *win);
         for (const Candidate& c : cands) {
           const Cost l = model_.Lb1(node, c);
@@ -400,7 +402,7 @@ class LookaheadSelector : public EntitySelector {
         }
       }
       const Cost bound = model_.Lb1(node, *win);
-      if (use_memo) cache_[memo_key] = MemoEntry{win->entity, bound};
+      if (use_memo) cache_[memo_key] = {win->entity, bound};
       if (node_stats != nullptr) node_stats->fully_evaluated = cands.size();
       return {win->entity, bound, false};
     }
@@ -501,7 +503,7 @@ class LookaheadSelector : public EntitySelector {
     }
 
     // Line 37: entity may be kNoEntity, "nothing achieves a bound below best".
-    if (use_memo) cache_[memo_key] = MemoEntry{best_entity, best};
+    if (use_memo) cache_[memo_key] = {best_entity, best};
     return {best_entity, best, false};
   }
 
@@ -510,7 +512,7 @@ class LookaheadSelector : public EntitySelector {
   int effort_ = 0;
   DeltaCounter delta_counter_;
   KlpStats stats_;
-  std::unordered_map<MemoKey, MemoEntry, MemoKeyHash> cache_;
+  std::unordered_map<MemoKey, KlpSelection, MemoKeyHash> cache_;
   std::vector<std::unique_ptr<Level>> scratch_;
   int depth_ = 0;
 

@@ -44,12 +44,11 @@ ShannonCost::Node ShannonCost::Prepare(const SubCollection& sub) const {
 }
 
 std::vector<ShannonCost::Candidate>& ShannonCost::Weigh(
-    const SubCollection& sub, const Node&,
+    const SubCollection& sub, const Node& node,
     const std::vector<EntityCount>& counts, std::vector<Candidate>& out) {
-  // Zeroing the candidates' accumulators first lets the pass add blindly:
-  // other entities collect garbage that nothing reads (unsigned, so it
-  // wraps harmlessly), and a candidate's sums come out in the same order,
-  // hence bit-identical.
+  // Zeroing the candidates' slots first lets the pass add without checks:
+  // other entities collect garbage that nothing reads (the mass is
+  // unsigned, so it wraps harmlessly).
   const SetCollection& collection = sub.collection();
   if (mass_acc_.size() < collection.universe_size()) {
     mass_acc_.resize(collection.universe_size());
@@ -69,9 +68,13 @@ std::vector<ShannonCost::Candidate>& ShannonCost::Weigh(
   }
   out.clear();
   for (const EntityCount& ec : counts) {
-    out.push_back({ec.entity, ec.count,
-                   static_cast<Cost>(mass_acc_[ec.entity]),
-                   qlog_acc_[ec.entity]});
+    const Cost w_in = static_cast<Cost>(mass_acc_[ec.entity]);
+    const double q_in = qlog_acc_[ec.entity];
+    const uint64_t n_out = node.n - ec.count;
+    out.push_back(
+        {ec.entity, ec.count, w_in,
+         ec.count <= 1 ? 0 : Lb0FromSums(w_in, q_in),
+         n_out <= 1 ? 0 : Lb0FromSums(node.weight - w_in, node.qlog - q_in)});
   }
   return out;
 }

@@ -35,10 +35,14 @@ namespace setdisc {
 /// Options for the weighted search (a subset of KlpOptions).
 struct WeightedKlpOptions {
   int k = 2;
-  int beam_width = -1;  ///< q; <= 0 unlimited
+  int beam_width = -1;          ///< q; <= 0 unlimited
   bool enable_early_break = true;
   bool enable_upper_limits = true;
   bool enable_memoization = true;
+
+  /// Differential counting at the root across steps and for every lookahead
+  /// child, as KlpOptions::enable_delta_counting. Decision-neutral — counts
+  /// are exact on every path.
   bool enable_delta_counting = true;
 };
 
@@ -54,9 +58,10 @@ class ShannonCost {
 
   struct Candidate {
     EntityId entity;
-    uint32_t count;   ///< contained sets
-    Cost weight_in;   ///< contained quantized mass
-    double qlog_in;   ///< contained Σ qw·log2(qw)
+    uint32_t count;  ///< contained sets
+    Cost weight_in;  ///< contained quantized mass
+    Cost lb0_in;     ///< Shannon floors of the two halves
+    Cost lb0_out;
   };
   struct Node {
     uint64_t n;
@@ -76,7 +81,8 @@ class ShannonCost {
   Node Prepare(const SubCollection& sub) const;
   /// One dense pass over the node's sets sums each candidate's contained
   /// mass and Σ qw·log2(qw) (doubles, so the pass is fresh per node rather
-  /// than derived from the parent's).
+  /// than derived from the parent's); the other half's sums follow by
+  /// subtraction from the node's, and both halves' floors from the sums.
   std::vector<Candidate>& Weigh(const SubCollection& sub, const Node& node,
                                 const std::vector<EntityCount>& counts,
                                 std::vector<Candidate>& out);
@@ -84,14 +90,14 @@ class ShannonCost {
     return node.n <= 1 ? 0 : Lb0FromSums(node.weight, node.qlog);
   }
   Cost Lb1(const Node& node, const Candidate& c) const {
-    return Lb0In(c) + Lb0Out(node, c) + node.weight;
+    return c.lb0_in + c.lb0_out + node.weight;
   }
   Cost Combine(const Node& node, Cost l_in, Cost l_out) const {
     return l_in + l_out + node.weight;
   }
   Cost UpperLimitFirst(const Node& node, const Candidate& c,
                        Cost best) const {
-    return best - node.weight - Lb0Out(node, c);
+    return best - node.weight - c.lb0_out;
   }
   Cost UpperLimitSecond(const Node& node, Cost best, Cost l_in) const {
     return best - node.weight - l_in;
@@ -105,14 +111,6 @@ class ShannonCost {
   /// Σ qw·log2(W/qw) = log2(W)·W − Σ qw·log2(qw), floored so the bound
   /// stays a lower bound after quantizing.
   static Cost Lb0FromSums(Cost weight, double qlog);
-  Cost Lb0In(const Candidate& c) const {
-    return c.count <= 1 ? 0 : Lb0FromSums(c.weight_in, c.qlog_in);
-  }
-  Cost Lb0Out(const Node& node, const Candidate& c) const {
-    return node.n - c.count <= 1
-               ? 0
-               : Lb0FromSums(node.weight - c.weight_in, node.qlog - c.qlog_in);
-  }
 
   /// Per-set qw and qw·log2(qw), fixed at construction.
   std::vector<Cost> quantized_;
@@ -134,6 +132,7 @@ class WeightedKlpSelector : public LookaheadSelector<ShannonCost> {
   /// The name encodes k but not the prior; the decisions depend on both.
   uint64_t DecisionFingerprint() const override;
 
+  /// Quantized weight of one set (>= 1).
   Cost QuantizedWeight(SetId s) const { return model_.QuantizedWeight(s); }
   /// Total quantized weight of a sub-collection.
   Cost TotalWeight(const SubCollection& sub) const {

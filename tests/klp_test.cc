@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
-#include <memory>
 #include <tuple>
 
 #include "core/bounds.h"
