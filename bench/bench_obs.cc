@@ -1,15 +1,14 @@
 // Observability overhead (src/obs): steps/sec through full simulated
 // conversations with metrics disabled (SetEnabled(false) — the
 // instrumented binary's kill-switch fast path), metrics enabled (the
-// shipping default), metrics + per-session tracing (CreateSession's
-// trace flag), and metrics + request-journey tracing (every step run
+// shipping default), and metrics + request-journey tracing (every step run
 // under a JourneyContext, emitting request/step/phase spans into the
 // lock-free journey ring — the --slow-ms / --trace-export serve path).
 //
 // The instrumentation contract is that the default-on path costs a few
 // clock reads and relaxed atomics per step — invisible next to a counting
 // pass. This bench makes that claim falsifiable: every conversation is
-// run in all four modes back to back (so cache/turbo drift hits each
+// run in all three modes back to back (so cache/turbo drift hits each
 // equally), the median of the paired per-conversation time ratios is
 // compared, and `--assert` turns a >2% steps/sec regression into a
 // nonzero exit.
@@ -56,13 +55,12 @@ SetCollection RandomCollection(uint64_t seed, uint32_t n, uint32_t m,
   return builder.Build();
 }
 
-enum class Mode { kOff, kOn, kOnTrace, kOnJourney };
+enum class Mode { kOff, kOn, kOnJourney };
 
 const char* ModeName(Mode mode) {
   switch (mode) {
     case Mode::kOff: return "off";
     case Mode::kOn: return "on";
-    case Mode::kOnTrace: return "on+trace";
     case Mode::kOnJourney: return "on+journey";
   }
   return "?";
@@ -80,30 +78,27 @@ struct ModeResult {
 ModeResult RunConversations(const SetCollection& c, SessionManager& manager,
                             Mode mode, int first, int conversations) {
   obs::SetEnabled(mode != Mode::kOff);
-  obs::SetJourneyEnabled(mode == Mode::kOnJourney);
+  const bool journey = mode == Mode::kOnJourney;
+  obs::SetJourneyEnabled(journey);
   uint64_t steps = 0;
   WallTimer timer;
   for (int i = first; i < first + conversations; ++i) {
     const SetId target = static_cast<SetId>((i * 7919 + 13) % c.num_sets());
     SimulatedOracle oracle(&c, target);
-    if (mode == Mode::kOnJourney) {
-      // What a server pool job does per request: a context with a trace id
-      // and a request span, installed for the duration of the conversation,
-      // so every step pays the full span-emission path into the ring.
-      obs::JourneyContext jc;
+    // With journeys on, what a server pool job does per request: a context
+    // with a trace id and a request span, installed for the duration of the
+    // conversation, so every step pays the full span-emission path into the
+    // ring.
+    obs::JourneyContext jc;
+    if (journey) {
       jc.trace = obs::MakeTraceId();
       jc.request_span = obs::NextSpanId();
-      obs::JourneyScope scope(&jc);
-      SessionView view = manager.Create({}, /*enable_trace=*/false, jc.trace);
-      view = manager.Drive(view, oracle);
-      steps += view.result.questions;
-      manager.Close(view.id);
-    } else {
-      SessionView view = manager.Create({}, mode == Mode::kOnTrace);
-      view = manager.Drive(view, oracle);
-      steps += view.result.questions;
-      manager.Close(view.id);
     }
+    obs::JourneyScope scope(journey ? &jc : nullptr);
+    SessionView view = manager.Create({}, jc.trace);
+    view = manager.Drive(view, oracle);
+    steps += view.result.questions;
+    manager.Close(view.id);
   }
   const double seconds = timer.Seconds();
   obs::SetJourneyEnabled(false);
@@ -137,21 +132,18 @@ int main(int argc, char** argv) {
       << " MostEven conversations per mode, interleaved per conversation\n"
          "with rotating mode order (aggregate rates reported)\n\n";
 
-  const Mode modes[] = {Mode::kOff, Mode::kOn, Mode::kOnTrace,
-                        Mode::kOnJourney};
-  constexpr int kNumModes = 4;
+  const Mode modes[] = {Mode::kOff, Mode::kOn, Mode::kOnJourney};
+  constexpr int kNumModes = 3;
   SessionManager* managers[kNumModes];
   SessionManagerOptions options;
   options.selector_factory = [] { return std::make_unique<MostEvenSelector>(); };
   options.num_threads = 2;
   SessionManager manager_off(c, idx, options);
   SessionManager manager_on(c, idx, options);
-  SessionManager manager_trace(c, idx, options);
   SessionManager manager_journey(c, idx, options);
   managers[0] = &manager_off;
   managers[1] = &manager_on;
-  managers[2] = &manager_trace;
-  managers[3] = &manager_journey;
+  managers[2] = &manager_journey;
 
   // Warmup (untimed): faults the collection in and spins the pools up so
   // the first slice isn't measuring first-touch costs.
@@ -160,16 +152,16 @@ int main(int argc, char** argv) {
                      std::max(1, conversations / 8));
   }
 
-  // Fine-grained interleave: each conversation runs in all four modes back
+  // Fine-grained interleave: each conversation runs in all three modes back
   // to back, mode order rotating per slice. Scheduler preemption and
-  // frequency drift land on all four modes evenly, so the paired ratios
+  // frequency drift land on all three modes evenly, so the paired ratios
   // isolate the instrumentation cost instead of the machine's mood;
   // per-block medians were ±2% on a busy host, worse than the effect being
   // measured.
   const int kSlice = 1;
   const int slices = std::max(1, (conversations * rounds) / kSlice);
-  double seconds_total[kNumModes] = {0, 0, 0, 0};
-  uint64_t steps_total[kNumModes] = {0, 0, 0, 0};
+  double seconds_total[kNumModes] = {};
+  uint64_t steps_total[kNumModes] = {};
   std::vector<std::array<double, kNumModes>> slice_seconds(slices);
   for (int s = 0; s < slices; ++s) {
     for (int k = 0; k < kNumModes; ++k) {
@@ -182,12 +174,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Each slice runs the *same* conversation in all four modes, so the
+  // Each slice runs the *same* conversation in all three modes, so the
   // per-slice time ratio is a paired sample of the instrumentation cost.
   // The median over slices shrugs off bursty interference (a steal burst
   // lands in one slice's one mode and becomes a single outlier ratio),
   // where aggregate totals absorb it in full.
-  double median_ratio[kNumModes] = {1.0, 1.0, 1.0, 1.0};
+  double median_ratio[kNumModes] = {1.0, 1.0, 1.0};
   for (int m = 1; m < kNumModes; ++m) {
     std::vector<double> ratios(slices);
     for (int s = 0; s < slices; ++s) {
@@ -218,9 +210,9 @@ int main(int argc, char** argv) {
          "across modes (instrumentation must not steer selection).\n";
 
   // The shipped-default claim: metrics on costs < 2% steps/sec vs the kill
-  // switch. Tracing adds a ring write per step, journey tracing a handful
-  // of seqlock ring pushes; all are allowed the same bound; every mode is
-  // reported, only --assert enforces.
+  // switch. Journey tracing adds a handful of seqlock ring pushes per step
+  // and is allowed the same bound; every mode is reported, only --assert
+  // enforces.
   const double kMaxRegression = 0.02;
   bool ok = true;
   for (int m = 1; m < kNumModes; ++m) {

@@ -212,11 +212,9 @@ Status DiscoveryClient::SessionCall(uint64_t session_id, bool resend_safe,
 }
 
 Status DiscoveryClient::CreateSession(std::span<const EntityId> initial,
-                                      SessionStateMsg* out,
-                                      bool enable_trace) {
+                                      SessionStateMsg* out) {
   CreateSessionMsg msg;
   msg.initial.assign(initial.begin(), initial.end());
-  msg.enable_trace = enable_trace;
   // Advertise busy handling so refusals come back with the retry hint; a
   // legacy-mode client sends the flagless encoding an old binary would.
   msg.busy_capable = !legacy_create_;
@@ -331,21 +329,6 @@ Status DiscoveryClient::GetStats(StatsReplyMsg* out) {
   if (!status.ok()) return status;
   if (!Decode(reply.body, out)) {
     return Status::Corruption("undecodable stats reply");
-  }
-  return Status::OK();
-}
-
-Status DiscoveryClient::GetTrace(uint64_t session_id, TraceReplyMsg* out) {
-  SessionRefMsg msg;
-  msg.session_id = session_id;
-  msg.token = session_token(session_id);
-  msg.has_token = msg.token != 0;
-  Frame reply;
-  Status status = Call(Encode(MsgType::kGetTrace, msg),
-                       MsgType::kTraceReply, &reply);
-  if (!status.ok()) return status;
-  if (!Decode(reply.body, out)) {
-    return Status::Corruption("undecodable trace reply");
   }
   return Status::OK();
 }

@@ -55,12 +55,8 @@ class DiscoveryClient {
   bool connected() const { return fd_.valid(); }
 
   /// Opens a session; *out is the first step (a question, a verification,
-  /// or — for sessions finished at birth — the final result). With
-  /// `enable_trace`, the server keeps a per-step trace ring for the session
-  /// (read it with GetTrace); old servers reject the flagged encoding as
-  /// malformed, so only set it against servers that know it.
-  Status CreateSession(std::span<const EntityId> initial, SessionStateMsg* out,
-                       bool enable_trace = false);
+  /// or — for sessions finished at birth — the final result).
+  Status CreateSession(std::span<const EntityId> initial, SessionStateMsg* out);
 
   /// Answers the pending question of `session_id`.
   Status Answer(uint64_t session_id, Oracle::Answer answer, SessionStateMsg* out);
@@ -85,9 +81,6 @@ class DiscoveryClient {
   /// Server-side counters (and, from servers that ship it, the rich
   /// metrics section — out->has_rich says which you got).
   Status GetStats(StatsReplyMsg* out);
-
-  /// The per-step trace ring of a session created with enable_trace.
-  Status GetTrace(uint64_t session_id, TraceReplyMsg* out);
 
   /// WireStatus of the last completed RPC: kOk on success, the server's
   /// code when it answered with an Error frame.

@@ -139,8 +139,7 @@ std::string Encode(const CreateSessionMsg& msg) {
   // every flag off emits the exact pre-flags encoding that old servers
   // require. The trace id (bit 2) rides as 16 further trailing bytes, only
   // ever after a flags byte that announces them.
-  const uint8_t flags = static_cast<uint8_t>((msg.enable_trace ? 0x01 : 0) |
-                                             (msg.busy_capable ? 0x02 : 0) |
+  const uint8_t flags = static_cast<uint8_t>((msg.busy_capable ? 0x02 : 0) |
                                              (msg.has_trace_id ? 0x04 : 0) |
                                              (msg.want_token ? 0x08 : 0));
   if (flags != 0) w.PutU8(flags);
@@ -171,7 +170,6 @@ bool Decode(std::string_view body, CreateSessionMsg* out) {
     if (!r.GetU32(&e)) return false;
     out->initial.push_back(e);
   }
-  out->enable_trace = false;
   out->busy_capable = false;
   out->has_trace_id = false;
   out->trace_hi = 0;
@@ -180,11 +178,11 @@ bool Decode(std::string_view body, CreateSessionMsg* out) {
   if (r.remaining() > 0) {
     uint8_t flags = 0;
     if (!r.GetU8(&flags)) return false;
-    // Unknown flag bits are ignored, so future clients can set them without
-    // being rejected by this build — but the trace bit and its 16 bytes
-    // must agree: the bit without the bytes is a truncated frame, the bytes
-    // without the bit are trailing garbage.
-    out->enable_trace = (flags & 0x01) != 0;
+    // Unknown flag bits (the retired bit 0 among them) are ignored, so
+    // future clients can set them without being rejected by this build —
+    // but the trace bit and its 16 bytes must agree: the bit without the
+    // bytes is a truncated frame, the bytes without the bit are trailing
+    // garbage.
     out->busy_capable = (flags & 0x02) != 0;
     out->want_token = (flags & 0x08) != 0;
     const bool trace_bit = (flags & 0x04) != 0;
@@ -576,62 +574,6 @@ bool Decode(std::string_view body, StatsReplyMsg* out) {
     out->has_exemplars = true;
   }
   return r.ok();
-}
-
-std::string Encode(const TraceReplyMsg& msg) {
-  std::string body;
-  PayloadWriter w(&body);
-  w.PutU64(msg.session_id);
-  w.PutU8(static_cast<uint8_t>(obs::kNumPhases));
-  const size_t total = msg.events.size();
-  const size_t n = std::min<size_t>(total, kMaxWireTraceEvents);
-  // Ship the most recent events when the ring outgrew the frame cap.
-  const size_t first = total - n;
-  w.PutU32(static_cast<uint32_t>(n));
-  for (size_t i = first; i < total; ++i) {
-    const obs::TraceEvent& ev = msg.events[i];
-    w.PutU32(ev.step);
-    w.PutU32(ev.entity);
-    w.PutU8(ev.kind);
-    w.PutU8(ev.serve_path);
-    w.PutU32(ev.candidates_before);
-    w.PutU32(ev.candidates_after);
-    w.PutU64(ev.total_ns);
-    for (size_t ph = 0; ph < obs::kNumPhases; ++ph) w.PutU64(ev.phase_ns[ph]);
-  }
-  return EncodeFrame(MsgType::kTraceReply, body);
-}
-
-bool Decode(std::string_view body, TraceReplyMsg* out) {
-  PayloadReader r(body);
-  uint8_t num_phases = 0;
-  uint32_t n = 0;
-  if (!r.GetU64(&out->session_id) || !r.GetU8(&num_phases) || !r.GetU32(&n)) {
-    return false;
-  }
-  if (num_phases == 0 || num_phases > 64) return false;
-  if (n > kMaxWireTraceEvents) return false;
-  const size_t per_event = 4 + 4 + 1 + 1 + 4 + 4 + 8 + size_t{num_phases} * 8;
-  if (r.remaining() != size_t{n} * per_event) return false;
-  out->events.clear();
-  out->events.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    obs::TraceEvent ev;
-    if (!r.GetU32(&ev.step) || !r.GetU32(&ev.entity) || !r.GetU8(&ev.kind) ||
-        !r.GetU8(&ev.serve_path) || !r.GetU32(&ev.candidates_before) ||
-        !r.GetU32(&ev.candidates_after) || !r.GetU64(&ev.total_ns)) {
-      return false;
-    }
-    // A server with more phases than this build knows ships them all; the
-    // extras are read and dropped.
-    for (size_t ph = 0; ph < num_phases; ++ph) {
-      uint64_t v = 0;
-      if (!r.GetU64(&v)) return false;
-      if (ph < obs::kNumPhases) ev.phase_ns[ph] = v;
-    }
-    out->events.push_back(ev);
-  }
-  return r.Exhausted();
 }
 
 SessionStateMsg ToWire(const SessionView& view) {

@@ -61,14 +61,12 @@ enum class MsgType : uint8_t {
   kGetSession = 0x04,     ///< body: u64 session
   kCloseSession = 0x05,   ///< body: u64 session
   kStats = 0x06,          ///< body: empty
-  kGetTrace = 0x07,       ///< body: u64 session
   kResumeSession = 0x08,  ///< body: u64 session, u64 token (ResumeSessionMsg)
 
   // server -> client
   kSessionState = 0x81,  ///< body: SessionStateMsg
   kStatsReply = 0x82,    ///< body: StatsReplyMsg
   kClosed = 0x83,        ///< body: u64 session (reply to kCloseSession)
-  kTraceReply = 0x84,    ///< body: TraceReplyMsg
   kError = 0xFF,         ///< body: u8 WireStatus, u32 len, message bytes
 };
 
@@ -242,14 +240,12 @@ class FrameDecoder {
 // Messages
 // ---------------------------------------------------------------------------
 
+/// The flags live in an optional trailing byte, emitted only when a bit is
+/// set, so a client with every flag off produces the exact pre-flags
+/// encoding. Bit 0 is retired: old clients may still set it, so it is
+/// ignored like every unknown bit and must not be given a new meaning.
 struct CreateSessionMsg {
   std::vector<EntityId> initial;
-  /// Ask the server to attach a per-step trace ring to the session (read
-  /// back with kGetTrace). Rides in an optional trailing flags byte: it is
-  /// only emitted when set, so a client with tracing off produces the exact
-  /// pre-flags encoding and old servers keep accepting it. Old clients
-  /// never send the byte, which decodes as false.
-  bool enable_trace = false;
   /// Flag bit 1: this client understands kBusy refusals with a trailing
   /// retry-after field. The server only appends that field (which an old
   /// ErrorMsg decoder would reject as trailing garbage) when the Create
@@ -454,19 +450,6 @@ struct StatsReplyMsg {
   std::vector<WireExemplar> exemplars;
 };
 
-/// Cap on trace events in one kTraceReply frame; the server ships the most
-/// recent events when the ring is larger. ~74 bytes/event keeps the worst
-/// frame around 600 KiB, under kDefaultMaxBody.
-inline constexpr uint32_t kMaxWireTraceEvents = 8192;
-
-/// Reply to kGetTrace: the session's trace ring, oldest first. num_phases is
-/// on the wire once so a client built against fewer phases still decodes
-/// events written by a server with more (extras are skipped).
-struct TraceReplyMsg {
-  uint64_t session_id = 0;
-  std::vector<obs::TraceEvent> events;
-};
-
 // Encoders return a complete frame (header + body).
 std::string Encode(const CreateSessionMsg& msg);
 std::string Encode(const AnswerMsg& msg);
@@ -477,7 +460,6 @@ std::string EncodeStatsRequest();
 std::string Encode(const ErrorMsg& msg);
 std::string Encode(const SessionStateMsg& msg);
 std::string Encode(const StatsReplyMsg& msg);
-std::string Encode(const TraceReplyMsg& msg);
 
 // Decoders parse a frame body; false = malformed (wrong size, bad enum
 // value, trailing bytes).
@@ -492,7 +474,6 @@ bool Decode(std::string_view body, SessionStateMsg* out);
 /// section, or trailing bytes after the known v1 layout) but rejects
 /// truncation anywhere inside a section it started to parse.
 bool Decode(std::string_view body, StatsReplyMsg* out);
-bool Decode(std::string_view body, TraceReplyMsg* out);
 
 /// SessionView -> wire reply (server side).
 SessionStateMsg ToWire(const SessionView& view);

@@ -692,8 +692,8 @@ struct LoopCtx {
         }
         Offload(conn, "create", trace,
                 [mgr = &manager, msg = std::move(msg), trace]() mutable {
-                  SessionStateMsg reply = ToWire(mgr->Create(
-                      msg.initial, msg.enable_trace, trace, msg.want_token));
+                  SessionStateMsg reply = ToWire(
+                      mgr->Create(msg.initial, trace, msg.want_token));
                   // The token rides the wire exactly once — in this reply,
                   // and only because the client opted in with want_token.
                   reply.has_token = msg.want_token && reply.token != 0;
@@ -749,26 +749,6 @@ struct LoopCtx {
           SessionView view;
           SessionStatus status = mgr->Get(msg.session_id, &view, msg.token);
           return StepReply(status, view, "resume");
-        });
-        return;
-      }
-      // GetTrace can wait on the session mutex behind a Select, so it rides
-      // the pool like the stepping requests.
-      case MsgType::kGetTrace: {
-        SessionRefMsg msg;
-        if (!Decode(frame.body, &msg)) return ProtocolError(conn, WireStatus::kMalformed);
-        if (RefuseWhileDraining(conn)) return;
-        Offload(conn, "trace", obs::TraceId{}, [mgr = &manager, msg] {
-          TraceReplyMsg reply;
-          reply.session_id = msg.session_id;
-          SessionStatus status =
-              mgr->GetTrace(msg.session_id, &reply.events, msg.token);
-          if (status != SessionStatus::kOk) {
-            WireStatus wire = ToWireStatus(status);
-            return Encode(ErrorMsg{
-                wire, std::string("trace: ") + WireStatusName(wire)});
-          }
-          return Encode(reply);
         });
         return;
       }

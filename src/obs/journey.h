@@ -5,8 +5,12 @@
 /// sensors in metrics.h/trace.h. A *journey* is the span tree of one request
 /// — request span, queue-wait child, step child, phase grandchildren — tied
 /// together by a 128-bit trace id that can cross the wire (see the
-/// CreateSession trace-context extension in net/protocol.h), so the same id
-/// later stitches spans from remote shard processes into one tree.
+/// CreateSession trace-context extension in net/protocol.h). The session
+/// stores that id (and persists it with its durable record), so every
+/// request of one conversation, before and after a spill or restart, lands
+/// in one trace: a session's per-step history is the `step:` spans carrying
+/// its trace id, one per answer or verify, numbered by their `step`
+/// annotation.
 ///
 /// Spans land in a process-wide lock-free bounded ring (JourneyRing): Push
 /// is a ticket fetch_add plus ~25 relaxed atomic word stores guarded by a
@@ -162,7 +166,7 @@ struct JourneyContext {
 
   // Filled by the step that ran under this context (last one wins).
   bool have_step = false;
-  uint8_t step_kind = 0;  ///< 0 = answer, 1 = verify (TraceEvent convention)
+  uint8_t step_kind = 0;  ///< 0 = answer, 1 = verify (the wire exemplar's kind)
   uint32_t step_index = 0;
   uint64_t step_span = 0;
   uint64_t step_total_ns = 0;

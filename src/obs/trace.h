@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file trace.h
-/// Per-step phase attribution and per-session trace rings.
+/// Per-step phase attribution.
 ///
 /// The question "why was this step slow?" needs latencies attributed to the
 /// stages of a step — counting, candidate ordering, the partition/emit on
@@ -13,21 +13,20 @@
 /// is installed (metrics disabled, or code driven outside a session step),
 /// a PhaseTimer is a thread-local load and a branch — no clock read.
 ///
-/// A TraceRing is the bounded per-session journal of completed steps —
-/// off by default, enabled per session (CreateSession trace flag). It is
-/// written and read under the session's entry mutex (SessionManager
-/// serializes steps), so it needs no locking of its own.
+/// A finished step's PhaseAccum feeds the per-phase histograms
+/// (RecordStepPhases) and, under a JourneyContext, the step span and its
+/// phase children (obs/journey.h). Those spans are the one per-step record:
+/// a session's trace is the journey spans carrying its trace id.
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "obs/metrics.h"
 
 namespace setdisc::obs {
 
 /// The step stages a PhaseTimer can charge. The values index the phase
-/// arrays (PhaseAccum, TraceEvent, and their wire encodings). Slot 3 is
+/// arrays (PhaseAccum and the slow-step exemplar's wire encoding). Slot 3 is
 /// reserved and never charged: the wire encodes phases by position, and
 /// emit and select keep positions 4 and 5 for peers built against them.
 enum class Phase : uint8_t {
@@ -116,59 +115,5 @@ inline void NoteServePath(ServePath path) {
 /// `setdisc_step_phase_ns{phase=...}` histograms (no-op when metrics are
 /// disabled).
 void RecordStepPhases(const PhaseAccum& accum);
-
-/// One completed step of a traced session.
-struct TraceEvent {
-  uint32_t step = 0;      ///< 0-based index among this session's steps
-  uint32_t entity = 0;    ///< entity answered (kNoEntity for verify steps)
-  uint8_t kind = 0;       ///< 0 = answer step, 1 = verify step
-  uint8_t serve_path = 0; ///< ServePath
-  uint32_t candidates_before = 0;
-  uint32_t candidates_after = 0;
-  uint64_t phase_ns[kNumPhases] = {};
-  uint64_t total_ns = 0;  ///< wall time of the whole step
-};
-
-/// Fixed-capacity overwrite-oldest journal of TraceEvents. Not internally
-/// synchronized: callers (the session, via its entry mutex) serialize
-/// Push() against Events().
-class TraceRing {
- public:
-  explicit TraceRing(size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {
-    events_.reserve(capacity_);
-  }
-
-  void Push(const TraceEvent& event) {
-    if (events_.size() < capacity_) {
-      events_.push_back(event);
-    } else {
-      events_[head_] = event;
-      head_ = (head_ + 1) % capacity_;
-    }
-    ++total_;
-  }
-
-  /// Retained events, oldest first.
-  std::vector<TraceEvent> Events() const {
-    std::vector<TraceEvent> out;
-    out.reserve(events_.size());
-    for (size_t i = 0; i < events_.size(); ++i) {
-      out.push_back(events_[(head_ + i) % events_.size()]);
-    }
-    return out;
-  }
-
-  size_t capacity() const { return capacity_; }
-  /// Total events ever pushed (>= Events().size(); the difference was
-  /// overwritten).
-  uint64_t total() const { return total_; }
-
- private:
-  size_t capacity_;
-  size_t head_ = 0;  // oldest retained event once full
-  uint64_t total_ = 0;
-  std::vector<TraceEvent> events_;
-};
 
 }  // namespace setdisc::obs

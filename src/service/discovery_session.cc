@@ -32,19 +32,22 @@ DiscoverySession::DiscoverySession(const SetCollection& collection,
                                    const InvertedIndex& index,
                                    std::span<const EntityId> initial,
                                    EntitySelector& selector,
-                                   const DiscoveryOptions& options)
+                                   const DiscoveryOptions& options,
+                                   bool record)
     : collection_(&collection),
       selector_(&selector),
-      options_(options) {
+      options_(options),
+      recording_(record) {
   const bool metrics = obs::Enabled();
   uint64_t t0 = 0;
   if (metrics) {
     // One registry lookup per session; every Record() after this is
     // lock-free. Creation already pays index scans, so the lookup noise is
-    // negligible there.
+    // negligible there. A replaying session resolves it too: it records its
+    // steps once replay is done.
     step_hist_ = obs::MetricsRegistry::Default().GetHistogram(
         "setdisc_step_latency_ns", SessionLabels(selector.name()));
-    t0 = obs::NowNanos();
+    if (record) t0 = obs::NowNanos();
   }
   // Lines 1-4: candidates are the supersets of the initial example set I.
   candidates_ = SubCollection(collection_, index.SetsContainingAll(initial));
@@ -53,7 +56,7 @@ DiscoverySession::DiscoverySession(const SetCollection& collection,
   } else {
     Advance();
   }
-  if (metrics) {
+  if (metrics && record) {
     obs::MetricsRegistry::Default()
         .GetHistogram("setdisc_create_latency_ns",
                       SessionLabels(selector.name()))
@@ -112,19 +115,19 @@ void DiscoverySession::SubmitAnswer(Oracle::Answer answer) {
   // mid-step) so one step runs at one effort level end to end.
   ApplyEffort();
   const bool metrics = obs::Enabled() && step_hist_ != nullptr;
-  if (!metrics && trace_ == nullptr && obs::CurrentJourney() == nullptr) {
+  if (!recording_ || (!metrics && obs::CurrentJourney() == nullptr)) {
     DoSubmitAnswer(answer);
+    ++step_index_;
     return;
   }
   const EntityId entity = pending_entity_;
-  const size_t before = candidates_.size();
   obs::PhaseAccum accum;
   const uint64_t t0 = obs::NowNanos();
   {
     obs::PhaseScope scope(&accum);
     DoSubmitAnswer(answer);
   }
-  RecordStep(/*kind=*/0, entity, before, obs::NowNanos() - t0, accum);
+  RecordStep(/*kind=*/0, entity, obs::NowNanos() - t0, accum);
 }
 
 void DiscoverySession::DoSubmitAnswer(Oracle::Answer answer) {
@@ -177,18 +180,18 @@ void DiscoverySession::DoSubmitAnswer(Oracle::Answer answer) {
 void DiscoverySession::Verify(bool confirmed) {
   ApplyEffort();
   const bool metrics = obs::Enabled() && step_hist_ != nullptr;
-  if (!metrics && trace_ == nullptr && obs::CurrentJourney() == nullptr) {
+  if (!recording_ || (!metrics && obs::CurrentJourney() == nullptr)) {
     DoVerify(confirmed);
+    ++step_index_;
     return;
   }
-  const size_t before = candidates_.size();
   obs::PhaseAccum accum;
   const uint64_t t0 = obs::NowNanos();
   {
     obs::PhaseScope scope(&accum);
     DoVerify(confirmed);
   }
-  RecordStep(/*kind=*/1, kNoEntity, before, obs::NowNanos() - t0, accum);
+  RecordStep(/*kind=*/1, kNoEntity, obs::NowNanos() - t0, accum);
 }
 
 void DiscoverySession::DoVerify(bool confirmed) {
@@ -248,30 +251,13 @@ void DiscoverySession::Backtrack() {
   Finish();
 }
 
-void DiscoverySession::EnableTracing(size_t capacity) {
-  if (trace_ == nullptr) trace_ = std::make_unique<obs::TraceRing>(capacity);
-}
-
 void DiscoverySession::RecordStep(uint8_t kind, EntityId entity,
-                                               size_t candidates_before,
-                                               uint64_t total_ns,
-                                               const obs::PhaseAccum& accum) {
+                                  uint64_t total_ns,
+                                  const obs::PhaseAccum& accum) {
   if (obs::Enabled()) {
     if (step_hist_ != nullptr) step_hist_->Record(total_ns);
     obs::RecordStepPhases(accum);
     StepsCounter(kind)->Add(1);
-  }
-  if (trace_ != nullptr) {
-    obs::TraceEvent ev;
-    ev.step = step_index_;
-    ev.entity = entity;
-    ev.kind = kind;
-    ev.serve_path = accum.serve_path;
-    ev.candidates_before = static_cast<uint32_t>(candidates_before);
-    ev.candidates_after = static_cast<uint32_t>(candidates_.size());
-    for (size_t i = 0; i < obs::kNumPhases; ++i) ev.phase_ns[i] = accum.ns[i];
-    ev.total_ns = total_ns;
-    trace_->Push(ev);
   }
   // Request-journey emission: when this step ran under a JourneyContext
   // (server pool job, bench harness), its span — with the phase breakdown

@@ -32,7 +32,6 @@
 /// SessionManager.
 
 #include <atomic>
-#include <memory>
 #include <span>
 #include <unordered_set>
 #include <utility>
@@ -69,9 +68,14 @@ class DiscoverySession {
   /// (Algorithm 2 lines 1-4) and selects the first question. The collection,
   /// index, and selector must outlive the session; the selector must not be
   /// shared with a concurrently stepping session.
+  ///
+  /// With `record` false the session records nothing — no create or step
+  /// latency histograms, no setdisc_steps_total, no journey spans — until
+  /// set_recording(true). Replaying a durable journal runs this way: those
+  /// steps were recorded when they were first served.
   DiscoverySession(const SetCollection& collection, const InvertedIndex& index,
                    std::span<const EntityId> initial, EntitySelector& selector,
-                   const DiscoveryOptions& options = {});
+                   const DiscoveryOptions& options = {}, bool record = true);
 
   DiscoverySession(DiscoverySession&&) = default;
   DiscoverySession& operator=(DiscoverySession&&) = default;
@@ -117,16 +121,8 @@ class DiscoverySession {
 
   const DiscoveryOptions& options() const { return options_; }
 
-  /// Turns on the per-step TraceEvent journal: the next `capacity` completed
-  /// steps (overwrite-oldest past that) are recorded with phase latencies
-  /// and serve paths. Steps taken before the call are not traced. Off by
-  /// default.
-  void EnableTracing(size_t capacity);
-
-  /// The trace ring, or nullptr when tracing is off. Reading it while
-  /// another thread steps the session is a race — callers serialize via
-  /// whatever serializes steps (SessionManager's entry mutex).
-  const obs::TraceRing* trace() const { return trace_.get(); }
+  /// Turns step recording on or off (see the constructor's `record`).
+  void set_recording(bool on) { recording_ = on; }
 
   /// Load-adaptive degradation: points the session at a live effort level
   /// (service/load_controller.h writes it, SessionManager owns the cell).
@@ -162,15 +158,16 @@ class DiscoverySession {
   void Finish() { state_ = SessionState::kFinished; }
 
   /// The uninstrumented step bodies; the public SubmitAnswer/Verify wrap
-  /// them with the step timer, phase scope, and trace capture when metrics
-  /// or tracing are on (and are plain calls when both are off).
+  /// them with the step timer and phase scope when the session records and
+  /// metrics or a journey context are on (and are plain calls otherwise).
   void DoSubmitAnswer(Oracle::Answer answer);
   void DoVerify(bool confirmed);
 
   /// Records one completed step: the step-latency histogram, the per-phase
-  /// histograms, and (when tracing) a TraceEvent.
-  void RecordStep(uint8_t kind, EntityId entity, size_t candidates_before,
-                  uint64_t total_ns, const obs::PhaseAccum& accum);
+  /// histograms, the steps counter, and (under a journey context) the step
+  /// and phase spans.
+  void RecordStep(uint8_t kind, EntityId entity, uint64_t total_ns,
+                  const obs::PhaseAccum& accum);
 
   /// Forwards the current effort level to the selector iff it changed since
   /// the last step — at steady level (including the idle 0) this is one
@@ -208,11 +205,13 @@ class DiscoverySession {
   const std::atomic<int>* effort_source_ = nullptr;
   int applied_effort_ = 0;
 
-  /// Per-session step TraceEvent journal; null unless EnableTracing() ran.
-  std::unique_ptr<obs::TraceRing> trace_;
+  /// False while replaying a journal (see the constructor).
+  bool recording_ = true;
   /// setdisc_step_latency_ns{selector} — resolved once at construction
   /// (null when metrics were disabled then).
   obs::Histogram* step_hist_ = nullptr;
+  /// Steps taken so far, replayed ones included: the next step span's
+  /// `step` annotation, so a resumed session's spans continue its numbering.
   uint32_t step_index_ = 0;
 };
 

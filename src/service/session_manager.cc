@@ -18,6 +18,17 @@ uint8_t EffortByte(int level) {
   return static_cast<uint8_t>(level);
 }
 
+/// Stamps the enclosing request context, if any, with session `id`. Only
+/// Create carries a trace id on the wire, so a request that arrived without
+/// one inherits the id stored with the session: every request of a
+/// conversation lands in its trace.
+void JoinJourney(SessionId id, obs::TraceId session_trace) {
+  if (obs::JourneyContext* jc = obs::CurrentJourney()) {
+    jc->session_id = id;
+    if (!jc->trace.valid()) jc->trace = session_trace;
+  }
+}
+
 }  // namespace
 
 SessionManager::SessionManager(const SetCollection& collection,
@@ -126,7 +137,7 @@ SessionView SessionManager::MakeView(SessionId id,
 }
 
 std::shared_ptr<SessionManager::Entry> SessionManager::NewEntry(
-    std::span<const EntityId> initial, int effort, bool enable_trace) {
+    std::span<const EntityId> initial, int effort, bool record) {
   auto entry = std::make_shared<Entry>();
   // The initial Select() (inside the session constructor below) runs
   // outside the registry lock: it can be a real scan, and other sessions
@@ -144,17 +155,12 @@ std::shared_ptr<SessionManager::Entry> SessionManager::NewEntry(
   if (effort != 0) selector->SetEffort(effort);
   entry->selector = std::move(selector);
   entry->session = std::make_unique<DiscoverySession>(
-      collection_, index_, initial, *entry->selector, options_.discovery);
-  if (enable_trace) {
-    // Attached after the constructor's first Select(), so the creation step
-    // itself is not in the ring — documented on Create().
-    entry->session->EnableTracing(std::max<size_t>(1, options_.trace_capacity));
-  }
+      collection_, index_, initial, *entry->selector, options_.discovery,
+      record);
   return entry;
 }
 
 SessionView SessionManager::Create(std::span<const EntityId> initial,
-                                   bool enable_trace,
                                    obs::TraceId journey_trace,
                                    bool issue_token) {
   // An enclosing request context (server pool job) may carry the id when
@@ -166,7 +172,8 @@ SessionView SessionManager::Create(std::span<const EntityId> initial,
     }
   }
   const int create_effort = effort_level_.load(std::memory_order_relaxed);
-  std::shared_ptr<Entry> entry = NewEntry(initial, create_effort, enable_trace);
+  std::shared_ptr<Entry> entry =
+      NewEntry(initial, create_effort, /*record=*/true);
   entry->journey_trace = journey_trace;
   // Steps re-read the live level at entry; the cell outlives every session.
   entry->session->SetEffortSource(&effort_level_);
@@ -192,7 +199,7 @@ SessionView SessionManager::Create(std::span<const EntityId> initial,
     entry->record.collection_fingerprint = store_fp_;
     entry->record.selector.assign(entry->selector->name());
     entry->record.options = options_.discovery;
-    entry->record.set_trace_enabled(enable_trace);
+    entry->record.trace = journey_trace;
     entry->record.create_effort = EffortByte(create_effort);
     entry->record.initial.assign(initial.begin(), initial.end());
   }
@@ -309,8 +316,10 @@ std::shared_ptr<SessionManager::Entry> SessionManager::Rehydrate(
       rec.options.max_backtracks != options_.discovery.max_backtracks) {
     return fail("rehydrate: options mismatch", id);
   }
+  // Replay records nothing: no latency histograms, no steps counter, no
+  // spans into whatever request is resuming the session.
   std::shared_ptr<Entry> entry =
-      NewEntry(rec.initial, rec.create_effort, rec.trace_enabled());
+      NewEntry(rec.initial, rec.create_effort, /*record=*/false);
   if (entry->selector->name() != rec.selector) {
     return fail("rehydrate: selector mismatch", id);
   }
@@ -342,7 +351,9 @@ std::shared_ptr<SessionManager::Entry> SessionManager::Rehydrate(
   const int live = effort_level_.load(std::memory_order_relaxed);
   if (live != applied) entry->selector->SetEffort(live);
   entry->session->SetEffortSource(&effort_level_);
+  entry->session->set_recording(true);
   entry->token = rec.token;
+  entry->journey_trace = rec.trace;
   entry->finished.store(entry->session->done(), std::memory_order_relaxed);
   const size_t replayed = rec.events.size();
   entry->record = std::move(rec);
@@ -383,6 +394,7 @@ SessionStatus SessionManager::Get(SessionId id, SessionView* view,
   if (entry->token != 0 && token != entry->token) {
     return SessionStatus::kNotFound;
   }
+  JoinJourney(id, entry->journey_trace);
   std::lock_guard<std::mutex> lock(entry->mu);
   if (view != nullptr) *view = MakeView(id, *entry->session, entry->token);
   return SessionStatus::kOk;
@@ -399,13 +411,7 @@ SessionStatus SessionManager::SubmitAnswer(SessionId id, Oracle::Answer answer,
   if (entry->session->state() != SessionState::kAwaitingAnswer) {
     return SessionStatus::kWrongState;
   }
-  // Step requests don't carry a trace id on the wire; the enclosing journey
-  // context (if any) inherits the one stored at Create so the step's spans
-  // land in the conversation's trace.
-  if (obs::JourneyContext* jc = obs::CurrentJourney()) {
-    jc->session_id = id;
-    if (!jc->trace.valid()) jc->trace = entry->journey_trace;
-  }
+  JoinJourney(id, entry->journey_trace);
   // The level this step runs at (ApplyEffort re-reads the same cell at step
   // entry), journaled so replay reproduces a degraded step degraded.
   const uint8_t effort =
@@ -431,10 +437,7 @@ SessionStatus SessionManager::Verify(SessionId id, bool confirmed,
   if (entry->session->state() != SessionState::kAwaitingVerify) {
     return SessionStatus::kWrongState;
   }
-  if (obs::JourneyContext* jc = obs::CurrentJourney()) {
-    jc->session_id = id;
-    if (!jc->trace.valid()) jc->trace = entry->journey_trace;
-  }
+  JoinJourney(id, entry->journey_trace);
   const uint8_t effort =
       EffortByte(effort_level_.load(std::memory_order_relaxed));
   entry->session->Verify(confirmed);
@@ -443,21 +446,6 @@ SessionStatus SessionManager::Verify(SessionId id, bool confirmed,
   }
   JournalStepLocked(id, *entry, kEventVerify, confirmed ? 1 : 0, effort);
   if (view != nullptr) *view = MakeView(id, *entry->session, entry->token);
-  return SessionStatus::kOk;
-}
-
-SessionStatus SessionManager::GetTrace(SessionId id,
-                                       std::vector<obs::TraceEvent>* out,
-                                       uint64_t token) {
-  auto entry = FindOrRehydrate(id);
-  if (entry == nullptr) return SessionStatus::kNotFound;
-  if (entry->token != 0 && token != entry->token) {
-    return SessionStatus::kNotFound;
-  }
-  std::lock_guard<std::mutex> lock(entry->mu);
-  const obs::TraceRing* ring = entry->session->trace();
-  if (ring == nullptr) return SessionStatus::kWrongState;
-  if (out != nullptr) *out = ring->Events();
   return SessionStatus::kOk;
 }
 

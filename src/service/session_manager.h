@@ -38,7 +38,6 @@
 #include "collection/inverted_index.h"
 #include "obs/journey.h"
 #include "obs/registry.h"
-#include "obs/trace.h"
 #include "collection/set_collection.h"
 #include "core/discovery.h"
 #include "core/selector.h"
@@ -132,12 +131,6 @@ struct SessionManagerOptions {
   /// MetricsRegistry::Default() whenever obs::Enabled(), regardless of this.
   obs::MetricsRegistry* metrics = nullptr;
 
-  /// Capacity of the per-session trace ring for sessions created with
-  /// enable_trace (Create's second argument). Oldest events are overwritten
-  /// past this. Tracing is per-session opt-in; untraced sessions pay one
-  /// null-pointer test per step.
-  size_t trace_capacity = 256;
-
   /// Time source for TTL reaping, shrink-on-idle, and LRU stamping. nullptr
   /// = the real steady clock; tests inject a FakeClock (util/clock.h) so
   /// expiry assertions need no sleeps. Must outlive the manager.
@@ -183,23 +176,18 @@ class SessionManager {
   /// one remains with verification off): the returned view is already
   /// kFinished and carries the full result, and the session is NOT
   /// registered — its id is issued but Get/Close on it return kNotFound.
-  /// With enable_trace, the session records a bounded ring of per-step
-  /// TraceEvents (phase latencies, serve path, candidate narrowing),
-  /// readable via GetTrace. The creation step itself is not traced — the
-  /// ring is attached right after the first Select() — so event 0 is the
-  /// first answer.
   ///
   /// `journey_trace` is the request-journey trace id stored with the
-  /// session (obs/journey.h): later steps running under a JourneyContext
-  /// that arrived without an id (Answer/Verify don't carry one on the wire)
-  /// inherit it, so a whole conversation's spans share one trace. Invalid
-  /// (the default) stores nothing.
+  /// session (obs/journey.h), and persisted with its store record: later
+  /// steps running under a JourneyContext that arrived without an id
+  /// (Answer/Verify don't carry one on the wire) inherit it, so a whole
+  /// conversation's spans share one trace, across spills and restarts.
+  /// Invalid (the default) stores nothing.
   /// With `issue_token`, the session is protected by a random nonzero
   /// 64-bit token (returned in the view); every later op on the id must
   /// present it or gets kNotFound — same answer as a nonexistent id, so
   /// token failures leak nothing about which ids are live.
   SessionView Create(std::span<const EntityId> initial,
-                     bool enable_trace = false,
                      obs::TraceId journey_trace = {},
                      bool issue_token = false);
 
@@ -214,12 +202,6 @@ class SessionManager {
   /// Resolves the pending verification of session `id`.
   SessionStatus Verify(SessionId id, bool confirmed, SessionView* view,
                        uint64_t token = 0);
-
-  /// Copies the trace ring of session `id` into `*out`, oldest first.
-  /// kWrongState if the session is live but was created without
-  /// enable_trace.
-  SessionStatus GetTrace(SessionId id, std::vector<obs::TraceEvent>* out,
-                         uint64_t token = 0);
 
   /// SubmitAnswer on the manager's thread pool: the re-selection (the CPU
   /// cost of a step) runs concurrently with other sessions' steps.
@@ -301,7 +283,8 @@ class SessionManager {
     /// session is released once per idle period, not once per reaper tick.
     bool scratch_released = false;
     /// Request-journey trace id this conversation was created under
-    /// (invalid if none). Written once in Create, read-only afterwards.
+    /// (invalid if none). Written once in Create or Rehydrate, read-only
+    /// afterwards.
     obs::TraceId journey_trace;
     /// Session auth token (0 = unprotected). Written once before
     /// publication, read-only afterwards.
@@ -330,18 +313,19 @@ class SessionManager {
   /// store). All session ops go through this.
   std::shared_ptr<Entry> FindOrRehydrate(SessionId id);
   /// Rebuilds a session from its store record by replaying the journal
-  /// through a fresh engine; returns the registered entry, or nullptr when
+  /// through a fresh engine that records nothing (those steps were recorded
+  /// when first served); returns the registered entry, or nullptr when
   /// the record is missing, for another collection/selector, or fails to
   /// replay cleanly. Thread-safe; a racing rehydration of the same id
   /// resolves second-wins (the loser's rebuild is dropped).
   std::shared_ptr<Entry> Rehydrate(SessionId id);
   /// Builds a not-yet-registered entry: selector (cache-wrapped, effort
-  /// pre-applied), session over `initial`, optional tracing. The creation
-  /// Select runs here, outside any lock. Does NOT attach the live effort
-  /// source — Create/Rehydrate do that once the entry's selector is at the
-  /// right level.
+  /// pre-applied) and session over `initial`, recording iff `record` (see
+  /// DiscoverySession). The creation Select runs here, outside any lock.
+  /// Does NOT attach the live effort source — Create/Rehydrate do that once
+  /// the entry's selector is at the right level.
   std::shared_ptr<Entry> NewEntry(std::span<const EntityId> initial,
-                                  int effort, bool enable_trace);
+                                  int effort, bool record);
   /// Journals one applied event and persists the record (store configured
   /// only). Requires the entry mutex.
   void JournalStepLocked(SessionId id, Entry& entry, uint8_t kind,

@@ -8,7 +8,9 @@ namespace setdisc {
 
 namespace {
 
-constexpr uint8_t kRecordVersion = 1;
+/// Version 2 replaced version 1's flags byte with the 16-byte trace id;
+/// both decode.
+constexpr uint8_t kRecordVersion = 2;
 constexpr uint8_t kWalPut = 1;
 constexpr uint8_t kWalErase = 2;
 
@@ -29,7 +31,8 @@ void EncodeSessionRecord(const SessionRecord& record, std::string* out) {
   w.PutU8(record.options.handle_dont_know ? 1 : 0);
   w.PutU8(record.options.verify_and_backtrack ? 1 : 0);
   w.PutU32(static_cast<uint32_t>(record.options.max_backtracks));
-  w.PutU8(record.flags);
+  w.PutU64(record.trace.hi);
+  w.PutU64(record.trace.lo);
   w.PutU8(record.create_effort);
   w.PutU32(static_cast<uint32_t>(record.initial.size()));
   for (EntityId e : record.initial) w.PutU32(e);
@@ -44,17 +47,27 @@ void EncodeSessionRecord(const SessionRecord& record, std::string* out) {
 bool DecodeSessionRecord(std::string_view data, SessionRecord* out) {
   ByteReader r(data);
   uint8_t version = 0;
-  if (!r.GetU8(&version) || version != kRecordVersion) return false;
+  if (!r.GetU8(&version) || version == 0 || version > kRecordVersion) {
+    return false;
+  }
   SessionRecord rec;
   uint32_t max_questions = 0, max_backtracks = 0;
   uint8_t dont_know = 0, verify = 0;
   if (!r.GetU64(&rec.id) || !r.GetU64(&rec.token) ||
       !r.GetU64(&rec.collection_fingerprint) || !r.GetString(&rec.selector) ||
       !r.GetU32(&max_questions) || !r.GetU8(&dont_know) ||
-      !r.GetU8(&verify) || !r.GetU32(&max_backtracks) ||
-      !r.GetU8(&rec.flags) || !r.GetU8(&rec.create_effort)) {
+      !r.GetU8(&verify) || !r.GetU32(&max_backtracks)) {
     return false;
   }
+  if (version == 1) {
+    // Version 1's flags byte held only the retired per-session trace-ring
+    // bit; it is read and dropped.
+    uint8_t retired_flags = 0;
+    if (!r.GetU8(&retired_flags)) return false;
+  } else if (!r.GetU64(&rec.trace.hi) || !r.GetU64(&rec.trace.lo)) {
+    return false;
+  }
+  if (!r.GetU8(&rec.create_effort)) return false;
   rec.options.max_questions = static_cast<int32_t>(max_questions);
   rec.options.handle_dont_know = dont_know != 0;
   rec.options.verify_and_backtrack = verify != 0;

@@ -53,6 +53,7 @@
 
 #include "collection/types.h"
 #include "core/discovery.h"
+#include "obs/journey.h"
 #include "obs/metrics.h"
 #include "service/durability.h"
 #include "util/status.h"
@@ -79,29 +80,26 @@ struct SessionRecord {
   uint64_t id = 0;
   /// Session auth token (0 = none issued).
   uint64_t token = 0;
-  /// Collection identity: SetCollection::Fingerprint() folded with the
-  /// shard configuration (SessionManager computes it). Records whose
-  /// fingerprint does not match the serving collection are dropped on
-  /// replay — resuming a conversation over different data would silently
-  /// answer wrong questions.
+  /// Collection identity: SetCollection::Fingerprint(), a digest of the
+  /// collection's content alone. Records whose fingerprint does not match
+  /// the serving collection are dropped on replay — resuming a
+  /// conversation over different data would silently answer wrong
+  /// questions.
   uint64_t collection_fingerprint = 0;
   /// Selector the session runs; must match the manager's configured
   /// selector name for the record to rehydrate.
   std::string selector;
   DiscoveryOptions options;
-  /// bit 0: session was created with enable_trace.
-  uint8_t flags = 0;
+  /// Request-journey trace id the session was created under (invalid if
+  /// none), so a resumed conversation's spans stay in its trace. Version-1
+  /// records carried a flags byte here instead and decode with no id.
+  obs::TraceId trace;
   /// Effort level in force when the session was created — the first Select
   /// (inside the constructor) ran at it, so replay must pin it before
   /// rebuilding the session.
   uint8_t create_effort = 0;
   std::vector<EntityId> initial;
   std::vector<SessionEvent> events;
-
-  bool trace_enabled() const { return (flags & 1) != 0; }
-  void set_trace_enabled(bool on) {
-    flags = static_cast<uint8_t>(on ? (flags | 1) : (flags & ~1u));
-  }
 };
 
 /// Serializes `record` (versioned, little-endian; durability.h header

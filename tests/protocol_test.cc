@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "net/protocol.h"
@@ -670,29 +672,36 @@ TEST(StatsReplyCompat, ExemplarCountIsCappedAtEncode) {
 }
 
 // ---------------------------------------------------------------------------
-// CreateSession trace flag (optional-trailing-byte compatibility)
+// CreateSession flags byte (optional-trailing-byte compatibility)
 // ---------------------------------------------------------------------------
 
-TEST(CreateSessionCompat, TraceFlagRoundTripsAndStaysOptional) {
+TEST(CreateSessionCompat, RetiredTraceBitIsIgnored) {
   CreateSessionMsg msg;
   msg.initial = {1, 2, 3};
 
-  // Tracing off: the encoding is the exact pre-flags layout (u32 n + ids),
-  // so old servers accept frames from new clients.
-  std::string off_body = BodyOf(Encode(msg));
+  // Every flag off: the encoding is the exact pre-flags layout (u32 n +
+  // ids), so old servers accept frames from new clients.
+  const std::string off_body = BodyOf(Encode(msg));
   EXPECT_EQ(off_body.size(), sizeof(uint32_t) * 4);
-  CreateSessionMsg decoded;
-  decoded.enable_trace = true;  // must be overwritten
-  ASSERT_TRUE(Decode(off_body, &decoded));
-  EXPECT_FALSE(decoded.enable_trace);
-  EXPECT_EQ(decoded.initial, msg.initial);
 
-  msg.enable_trace = true;
-  std::string on_body = BodyOf(Encode(msg));
-  EXPECT_EQ(on_body.size(), off_body.size() + 1);
-  ASSERT_TRUE(Decode(on_body, &decoded));
-  EXPECT_TRUE(decoded.enable_trace);
+  // Bit 0 once asked for a per-session trace ring. An old client still
+  // sending it gets a Create that decodes exactly like the flagless one.
+  CreateSessionMsg decoded;
+  decoded.busy_capable = true;  // must be overwritten
+  decoded.want_token = true;
+  ASSERT_TRUE(Decode(off_body + '\x01', &decoded));
   EXPECT_EQ(decoded.initial, msg.initial);
+  EXPECT_FALSE(decoded.busy_capable);
+  EXPECT_FALSE(decoded.has_trace_id);
+  EXPECT_FALSE(decoded.want_token);
+  EXPECT_EQ(BodyOf(Encode(decoded)), off_body);
+
+  // Alongside known bits it changes nothing either.
+  ASSERT_TRUE(Decode(off_body + '\x0b', &decoded));  // bits 0, 1, 3
+  EXPECT_TRUE(decoded.busy_capable);
+  EXPECT_TRUE(decoded.want_token);
+  EXPECT_FALSE(decoded.has_trace_id);
+  EXPECT_EQ(BodyOf(Encode(decoded)), off_body + '\x0a');
 }
 
 TEST(CreateSessionCompat, UnknownFlagBitsAreIgnored) {
@@ -706,14 +715,12 @@ TEST(CreateSessionCompat, UnknownFlagBitsAreIgnored) {
 
   body.push_back('\x10');  // future flag only: decodes, known bits off
   ASSERT_TRUE(Decode(body, &decoded));
-  EXPECT_FALSE(decoded.enable_trace);
   EXPECT_FALSE(decoded.busy_capable);
   EXPECT_FALSE(decoded.has_trace_id);
   EXPECT_FALSE(decoded.want_token);
 
-  body.back() = '\x11';  // future flag + trace
+  body.back() = '\x11';  // future flag + the retired bit 0
   ASSERT_TRUE(Decode(body, &decoded));
-  EXPECT_TRUE(decoded.enable_trace);
   EXPECT_FALSE(decoded.busy_capable);
   EXPECT_FALSE(decoded.want_token);
 
@@ -722,27 +729,20 @@ TEST(CreateSessionCompat, UnknownFlagBitsAreIgnored) {
 }
 
 TEST(CreateSessionCompat, BusyCapableFlagMatrix) {
-  // All four flag combinations: the flags byte appears iff any bit is set
-  // (so a flagless client's bytes are untouched), and both bits decode
-  // independently.
-  for (bool trace : {false, true}) {
-    for (bool busy : {false, true}) {
-      CreateSessionMsg msg;
-      msg.initial = {1, 2};
-      msg.enable_trace = trace;
-      msg.busy_capable = busy;
-      std::string body = BodyOf(Encode(msg));
-      const size_t base = sizeof(uint32_t) * 3;
-      EXPECT_EQ(body.size(), (trace || busy) ? base + 1 : base)
-          << "trace=" << trace << " busy=" << busy;
-      CreateSessionMsg decoded;
-      decoded.enable_trace = !trace;  // must be overwritten
-      decoded.busy_capable = !busy;
-      ASSERT_TRUE(Decode(body, &decoded));
-      EXPECT_EQ(decoded.enable_trace, trace);
-      EXPECT_EQ(decoded.busy_capable, busy);
-      EXPECT_EQ(decoded.initial, msg.initial);
-    }
+  // The flags byte appears iff a bit is set (so a flagless client's bytes
+  // are untouched), and the bit decodes as sent.
+  for (bool busy : {false, true}) {
+    CreateSessionMsg msg;
+    msg.initial = {1, 2};
+    msg.busy_capable = busy;
+    std::string body = BodyOf(Encode(msg));
+    const size_t base = sizeof(uint32_t) * 3;
+    EXPECT_EQ(body.size(), busy ? base + 1 : base) << "busy=" << busy;
+    CreateSessionMsg decoded;
+    decoded.busy_capable = !busy;  // must be overwritten
+    ASSERT_TRUE(Decode(body, &decoded));
+    EXPECT_EQ(decoded.busy_capable, busy);
+    EXPECT_EQ(decoded.initial, msg.initial);
   }
 }
 
@@ -768,7 +768,6 @@ TEST(CreateSessionCompat, TraceContextRoundTripsAndStaysOptional) {
   EXPECT_TRUE(decoded.has_trace_id);
   EXPECT_EQ(decoded.trace_hi, msg.trace_hi);
   EXPECT_EQ(decoded.trace_lo, msg.trace_lo);
-  EXPECT_FALSE(decoded.enable_trace);
   EXPECT_FALSE(decoded.busy_capable);
   EXPECT_EQ(decoded.initial, msg.initial);
 
@@ -781,14 +780,12 @@ TEST(CreateSessionCompat, TraceContextRoundTripsAndStaysOptional) {
 TEST(CreateSessionCompat, TraceContextComposesWithOtherFlags) {
   CreateSessionMsg msg;
   msg.initial = {1};
-  msg.enable_trace = true;
   msg.busy_capable = true;
   msg.has_trace_id = true;
   msg.trace_hi = 7;
   msg.trace_lo = 11;
   CreateSessionMsg decoded;
   ASSERT_TRUE(Decode(BodyOf(Encode(msg)), &decoded));
-  EXPECT_TRUE(decoded.enable_trace);
   EXPECT_TRUE(decoded.busy_capable);
   ASSERT_TRUE(decoded.has_trace_id);
   EXPECT_EQ(decoded.trace_hi, 7u);
@@ -897,113 +894,6 @@ TEST(ErrorCompat, BusyStatusHasAName) {
   EXPECT_STRNE(WireStatusName(WireStatus::kBusy), "");
   EXPECT_NE(std::string(WireStatusName(WireStatus::kBusy)),
             std::string(WireStatusName(WireStatus::kShuttingDown)));
-}
-
-// ---------------------------------------------------------------------------
-// TraceReply
-// ---------------------------------------------------------------------------
-
-obs::TraceEvent MakeEvent(uint32_t step) {
-  obs::TraceEvent ev;
-  ev.step = step;
-  ev.entity = step * 10;
-  ev.kind = step % 2;
-  ev.serve_path = static_cast<uint8_t>(obs::ServePath::kDelta);
-  ev.candidates_before = 100 - step;
-  ev.candidates_after = 50 - step;
-  for (size_t ph = 0; ph < obs::kNumPhases; ++ph) {
-    ev.phase_ns[ph] = step * 1000 + ph;
-  }
-  ev.total_ns = step * 10000;
-  return ev;
-}
-
-TEST(TraceReply, RoundTripsEveryField) {
-  TraceReplyMsg msg;
-  msg.session_id = 0xDEADBEEFCAFEull;
-  for (uint32_t i = 0; i < 5; ++i) msg.events.push_back(MakeEvent(i));
-
-  TraceReplyMsg decoded;
-  ASSERT_TRUE(Decode(BodyOf(Encode(msg)), &decoded));
-  EXPECT_EQ(decoded.session_id, msg.session_id);
-  ASSERT_EQ(decoded.events.size(), 5u);
-  for (uint32_t i = 0; i < 5; ++i) {
-    const obs::TraceEvent& ev = decoded.events[i];
-    EXPECT_EQ(ev.step, i);
-    EXPECT_EQ(ev.entity, i * 10);
-    EXPECT_EQ(ev.kind, i % 2);
-    EXPECT_EQ(ev.serve_path, static_cast<uint8_t>(obs::ServePath::kDelta));
-    EXPECT_EQ(ev.candidates_before, 100 - i);
-    EXPECT_EQ(ev.candidates_after, 50 - i);
-    EXPECT_EQ(ev.total_ns, i * 10000u);
-    for (size_t ph = 0; ph < obs::kNumPhases; ++ph) {
-      EXPECT_EQ(ev.phase_ns[ph], i * 1000 + ph);
-    }
-  }
-}
-
-TEST(TraceReply, ServerWithMorePhasesStillDecodes) {
-  // Hand-build a body as a future server with two extra phases would: the
-  // per-event phase array is longer, num_phases says so, and this build
-  // reads the extras and drops them.
-  std::string body;
-  PayloadWriter w(&body);
-  w.PutU64(77);
-  w.PutU8(static_cast<uint8_t>(obs::kNumPhases + 2));
-  w.PutU32(1);
-  w.PutU32(3);      // step
-  w.PutU32(42);     // entity
-  w.PutU8(0);       // kind
-  w.PutU8(1);       // serve_path
-  w.PutU32(10);     // before
-  w.PutU32(4);      // after
-  w.PutU64(99999);  // total_ns
-  for (size_t ph = 0; ph < obs::kNumPhases + 2; ++ph) {
-    w.PutU64(1000 + ph);
-  }
-  TraceReplyMsg decoded;
-  ASSERT_TRUE(Decode(body, &decoded));
-  EXPECT_EQ(decoded.session_id, 77u);
-  ASSERT_EQ(decoded.events.size(), 1u);
-  EXPECT_EQ(decoded.events[0].step, 3u);
-  EXPECT_EQ(decoded.events[0].total_ns, 99999u);
-  for (size_t ph = 0; ph < obs::kNumPhases; ++ph) {
-    EXPECT_EQ(decoded.events[0].phase_ns[ph], 1000 + ph);
-  }
-}
-
-TEST(TraceReply, MalformedBodiesAreRejected) {
-  TraceReplyMsg msg;
-  msg.session_id = 9;
-  msg.events.push_back(MakeEvent(0));
-  const std::string body = BodyOf(Encode(msg));
-  TraceReplyMsg decoded;
-  ASSERT_TRUE(Decode(body, &decoded));
-  // Truncated and padded bodies both fail the exact-size check.
-  EXPECT_FALSE(Decode(body.substr(0, body.size() - 1), &decoded));
-  EXPECT_FALSE(Decode(body + '\x00', &decoded));
-  // Zero phases is nonsensical; > 64 is hostile.
-  std::string zero_phases = body;
-  zero_phases[8] = '\x00';
-  EXPECT_FALSE(Decode(zero_phases, &decoded));
-  std::string many_phases = body;
-  many_phases[8] = '\x41';  // 65
-  EXPECT_FALSE(Decode(many_phases, &decoded));
-}
-
-TEST(TraceReply, EncoderShipsMostRecentEventsWhenOverCap) {
-  TraceReplyMsg msg;
-  msg.session_id = 1;
-  for (uint32_t i = 0; i < kMaxWireTraceEvents + 25; ++i) {
-    msg.events.push_back(MakeEvent(i));
-  }
-  const std::string frame_bytes = Encode(msg);
-  EXPECT_LE(frame_bytes.size() - kFrameHeaderBytes, kDefaultMaxBody);
-  TraceReplyMsg decoded;
-  ASSERT_TRUE(Decode(BodyOf(frame_bytes), &decoded));
-  ASSERT_EQ(decoded.events.size(), size_t{kMaxWireTraceEvents});
-  EXPECT_EQ(decoded.events.front().step, 25u);  // oldest shipped
-  EXPECT_EQ(decoded.events.back().step, kMaxWireTraceEvents + 24);
 }
 
 // ---------------------------------------------------------------------------
@@ -1138,22 +1028,18 @@ TEST(TokenCompat, MalformedTrailersAreRejected) {
 }
 
 TEST(TokenCompat, CreateSessionWantTokenFlagMatrix) {
-  // want_token composes with the other Create flags and stays optional.
-  for (bool trace : {false, true}) {
-    for (bool want : {false, true}) {
-      CreateSessionMsg msg;
-      msg.initial = {3};
-      msg.enable_trace = trace;
-      msg.want_token = want;
-      std::string body = BodyOf(Encode(msg));
-      const size_t base = sizeof(uint32_t) * 2;
-      EXPECT_EQ(body.size(), (trace || want) ? base + 1 : base);
-      CreateSessionMsg decoded;
-      decoded.want_token = !want;  // must be overwritten
-      ASSERT_TRUE(Decode(body, &decoded));
-      EXPECT_EQ(decoded.enable_trace, trace);
-      EXPECT_EQ(decoded.want_token, want);
-    }
+  // want_token rides in the Create flags byte and stays optional.
+  for (bool want : {false, true}) {
+    CreateSessionMsg msg;
+    msg.initial = {3};
+    msg.want_token = want;
+    std::string body = BodyOf(Encode(msg));
+    const size_t base = sizeof(uint32_t) * 2;
+    EXPECT_EQ(body.size(), want ? base + 1 : base);
+    CreateSessionMsg decoded;
+    decoded.want_token = !want;  // must be overwritten
+    ASSERT_TRUE(Decode(body, &decoded));
+    EXPECT_EQ(decoded.want_token, want);
   }
 }
 
@@ -1176,6 +1062,244 @@ TEST(TokenCompat, ResumeSessionRoundTripsAndIsExact) {
     EXPECT_FALSE(Decode(body.substr(0, len), &decoded)) << "length " << len;
   }
   EXPECT_FALSE(Decode(body + '\x00', &decoded));
+}
+
+
+// ---------------------------------------------------------------------------
+// Seeded mutation fuzz of every message decoder
+// ---------------------------------------------------------------------------
+//
+// Each corpus body is a valid encoding; fixed-seed rounds of truncation,
+// bit flips, insertions and appends mutate it. A decoder may reject the
+// result, but whatever it accepts must re-encode to a body that decodes to
+// the same message: no field is half-read, and no accepted input carries
+// state the encoder cannot express.
+
+auto Fields(const CreateSessionMsg& m) {
+  return std::make_tuple(m.initial, m.busy_capable, m.has_trace_id,
+                         m.trace_hi, m.trace_lo, m.want_token);
+}
+auto Fields(const AnswerMsg& m) {
+  return std::make_tuple(m.session_id, m.answer, m.has_token, m.token);
+}
+auto Fields(const VerifyMsg& m) {
+  return std::make_tuple(m.session_id, m.confirmed, m.has_token, m.token);
+}
+auto Fields(const SessionRefMsg& m) {
+  return std::make_tuple(m.session_id, m.has_token, m.token);
+}
+auto Fields(const ResumeSessionMsg& m) {
+  return std::make_tuple(m.session_id, m.token);
+}
+auto Fields(const ErrorMsg& m) {
+  return std::make_tuple(m.status, m.message, m.retry_after_ms,
+                         m.has_retry_after);
+}
+auto Fields(const SessionStateMsg& m) {
+  const WireResult& r = m.result;
+  return std::make_tuple(m.session_id, m.state, m.question, m.verify_set,
+                         m.questions_asked, r.questions, r.backtracks,
+                         r.confirmed, r.halted, r.total_candidates,
+                         r.candidates, r.total_transcript, r.transcript,
+                         m.has_token, m.token);
+}
+auto Fields(const HistogramSummary& h) {
+  return std::make_tuple(h.count, h.sum, h.p50, h.p90, h.p99, h.p999);
+}
+auto Fields(const WireExemplar& e) {
+  return std::make_tuple(
+      e.trace_hi, e.trace_lo, e.session_id, e.ts_ns, e.step, e.kind,
+      e.serve_path, e.total_ns, e.queue_wait_ns,
+      std::vector<uint64_t>(std::begin(e.phase_ns), std::end(e.phase_ns)));
+}
+auto Fields(const StatsReplyMsg& m) {
+  std::vector<decltype(Fields(WireExemplar{}))> exemplars;
+  for (const WireExemplar& e : m.exemplars) exemplars.push_back(Fields(e));
+  return std::make_tuple(
+      std::make_tuple(m.active_sessions, m.created_sessions,
+                      m.connections_open, m.connections_total,
+                      m.frames_received, m.frames_sent),
+      m.has_rich, m.rich_version, Fields(m.step_latency),
+      Fields(m.pool_queue_wait),
+      std::make_tuple(m.pool_queue_depth, m.cache_lookups, m.cache_hits,
+                      m.delta_full, m.delta_delta, m.delta_reemit,
+                      m.klp_candidates, m.klp_evaluated, m.klp_pruned),
+      m.registry, m.has_exemplars, exemplars);
+}
+
+std::string EncodeBody(const SessionRefMsg& m) {
+  return BodyOf(Encode(MsgType::kGetSession, m));
+}
+template <typename Msg>
+std::string EncodeBody(const Msg& m) {
+  return BodyOf(Encode(m));
+}
+
+std::string Mutate(std::string body, Rng& rng) {
+  const int ops = 1 + static_cast<int>(rng.Uniform(3));
+  for (int i = 0; i < ops; ++i) {
+    switch (rng.Uniform(4)) {
+      case 0:  // truncate
+        if (!body.empty()) body.resize(rng.Uniform(body.size()));
+        break;
+      case 1:  // flip one bit
+        if (!body.empty()) {
+          body[rng.Uniform(body.size())] ^=
+              static_cast<char>(1u << rng.Uniform(8));
+        }
+        break;
+      case 2:  // insert one byte
+        body.insert(body.begin() + rng.Uniform(body.size() + 1),
+                    static_cast<char>(rng.Uniform(256)));
+        break;
+      default:  // append up to 17 bytes (one trace id plus a flags byte)
+        for (uint64_t n = 1 + rng.Uniform(17); n > 0; --n) {
+          body.push_back(static_cast<char>(rng.Uniform(256)));
+        }
+    }
+  }
+  return body;
+}
+
+/// Decodes `body`; when that succeeds, the re-encoding must decode to the
+/// same message. Returns whether `body` was accepted.
+template <typename Msg>
+bool AcceptsOnlyRoundTrippable(const std::string& body) {
+  Msg first;
+  if (!Decode(body, &first)) return false;
+  const std::string again = EncodeBody(first);
+  Msg second;
+  EXPECT_TRUE(Decode(again, &second)) << "re-encoding of an accepted body "
+                                      << "does not decode";
+  EXPECT_TRUE(Fields(first) == Fields(second))
+      << "accepted body does not round-trip (" << body.size() << " bytes)";
+  return true;
+}
+
+template <typename Msg>
+void FuzzDecoder(const std::vector<std::string>& corpus, uint64_t seed) {
+  Rng rng(seed);
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    ASSERT_TRUE(AcceptsOnlyRoundTrippable<Msg>(corpus[i]))
+        << "corpus entry " << i << " is not a valid encoding";
+    for (int round = 0; round < 400; ++round) {
+      AcceptsOnlyRoundTrippable<Msg>(Mutate(corpus[i], rng));
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "corpus entry " << i << ", round " << round;
+      }
+    }
+  }
+}
+
+TEST(DecoderFuzz, CreateSession) {
+  std::vector<std::string> corpus;
+  const std::vector<std::vector<EntityId>> initials = {{}, {5}, {1, 2, 3}};
+  for (const std::vector<EntityId>& initial : initials) {
+    for (int flags = 0; flags < 8; ++flags) {  // busy x trace id x token
+      CreateSessionMsg msg;
+      msg.initial = initial;
+      msg.busy_capable = (flags & 1) != 0;
+      msg.has_trace_id = (flags & 2) != 0;
+      msg.trace_hi = msg.has_trace_id ? 0x0123456789abcdefull : 0;
+      msg.trace_lo = msg.has_trace_id ? 0xfedcba9876543210ull : 0;
+      msg.want_token = (flags & 4) != 0;
+      corpus.push_back(EncodeBody(msg));
+    }
+    // The retired bit 0, alone and beside every known bit.
+    CreateSessionMsg plain;
+    plain.initial = initial;
+    corpus.push_back(EncodeBody(plain) + '\x01');
+    corpus.push_back(EncodeBody(plain) + '\x0f' + std::string(16, '\x07'));
+  }
+  FuzzDecoder<CreateSessionMsg>(corpus, 101);
+}
+
+TEST(DecoderFuzz, SessionOps) {
+  std::vector<std::string> answers, verifies, refs, resumes;
+  for (bool token : {false, true}) {
+    for (Oracle::Answer a : {Oracle::Answer::kYes, Oracle::Answer::kNo,
+                             Oracle::Answer::kDontKnow}) {
+      answers.push_back(EncodeBody(AnswerMsg{77, a, token, token ? 9u : 0u}));
+    }
+    for (bool confirmed : {false, true}) {
+      verifies.push_back(
+          EncodeBody(VerifyMsg{78, confirmed, token, token ? 9u : 0u}));
+    }
+    refs.push_back(EncodeBody(SessionRefMsg{79, token, token ? 9u : 0u}));
+  }
+  resumes.push_back(EncodeBody(ResumeSessionMsg{80, 0x5151515151515151ull}));
+  FuzzDecoder<AnswerMsg>(answers, 102);
+  FuzzDecoder<VerifyMsg>(verifies, 103);
+  FuzzDecoder<SessionRefMsg>(refs, 104);
+  FuzzDecoder<ResumeSessionMsg>(resumes, 105);
+}
+
+TEST(DecoderFuzz, Error) {
+  std::vector<std::string> corpus;
+  corpus.push_back(EncodeBody(ErrorMsg{WireStatus::kNotFound, "gone"}));
+  corpus.push_back(EncodeBody(ErrorMsg{WireStatus::kInternal, ""}));
+  for (uint32_t retry : {0u, 250u}) {
+    ErrorMsg busy{WireStatus::kBusy, "server busy"};
+    busy.retry_after_ms = retry;
+    busy.has_retry_after = true;
+    corpus.push_back(EncodeBody(busy));
+  }
+  FuzzDecoder<ErrorMsg>(corpus, 106);
+}
+
+TEST(DecoderFuzz, SessionState) {
+  std::vector<std::string> corpus;
+  for (bool token : {false, true}) {
+    SessionStateMsg question;
+    question.session_id = 3;
+    question.state = SessionState::kAwaitingAnswer;
+    question.question = 11;
+    question.questions_asked = 2;
+    question.has_token = token;
+    question.token = token ? 0x42 : 0;
+    corpus.push_back(EncodeBody(question));
+
+    SessionStateMsg verify = question;
+    verify.state = SessionState::kAwaitingVerify;
+    verify.question = kNoEntity;
+    verify.verify_set = 4;
+    corpus.push_back(EncodeBody(verify));
+
+    SessionStateMsg done = question;
+    done.state = SessionState::kFinished;
+    done.question = kNoEntity;
+    done.result.questions = 3;
+    done.result.backtracks = 1;
+    done.result.confirmed = true;
+    done.result.total_candidates = 3;
+    done.result.candidates = {4, 5};
+    done.result.total_transcript = 3;
+    done.result.transcript = {{2, kWireYes}, {7, kWireNo}, {9, kWireDontKnow}};
+    corpus.push_back(EncodeBody(done));
+
+    SessionStateMsg empty = question;
+    empty.state = SessionState::kFinished;
+    empty.result = WireResult{};
+    corpus.push_back(EncodeBody(empty));
+  }
+  FuzzDecoder<SessionStateMsg>(corpus, 107);
+}
+
+TEST(DecoderFuzz, StatsReply) {
+  std::vector<std::string> corpus;
+  StatsReplyMsg legacy = RichStats();
+  legacy.has_rich = false;
+  corpus.push_back(EncodeBody(legacy));
+  corpus.push_back(EncodeBody(RichStats()));
+  corpus.push_back(EncodeBody(RichStatsV2()));
+  StatsReplyMsg none = RichStatsV2();
+  none.exemplars.clear();
+  corpus.push_back(EncodeBody(none));
+  // A newer server's body: a later rich version with bytes appended.
+  StatsReplyMsg newer = RichStatsV2();
+  newer.rich_version = 3;
+  corpus.push_back(EncodeBody(newer) + std::string(5, '\x33'));
+  FuzzDecoder<StatsReplyMsg>(corpus, 108);
 }
 
 }  // namespace

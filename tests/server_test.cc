@@ -370,18 +370,55 @@ TEST(DiscoveryServer, MalformedPayloadAndUnknownTypeCloseTheConnection) {
     EXPECT_EQ(error.status, WireStatus::kMalformed);
     EXPECT_TRUE(conn.WaitForEof());
   }
-  {
-    // Unknown message type.
+  // Unknown message types, including 0x07: the retired GetTrace request
+  // (body: u64 session) is now as unknown as any other.
+  for (uint8_t type : {uint8_t{0x55}, uint8_t{0x07}}) {
     RawConn conn(server->port());
-    conn.Send(EncodeFrame(static_cast<MsgType>(0x55), ""));
+    conn.Send(EncodeFrame(static_cast<MsgType>(type),
+                          type == 0x07 ? std::string(8, '\x01') : ""));
     Frame frame;
     ASSERT_EQ(conn.ReadFrame(&frame), FrameDecoder::Next::kFrame);
     ASSERT_EQ(frame.type, MsgType::kError);
     ErrorMsg error;
     ASSERT_TRUE(Decode(frame.body, &error));
-    EXPECT_EQ(error.status, WireStatus::kBadType);
+    EXPECT_EQ(error.status, WireStatus::kBadType) << "type " << int{type};
     EXPECT_TRUE(conn.WaitForEof());
   }
+}
+
+TEST(DiscoveryServer, RetiredTraceBitCreatesAPlainSession) {
+  // Create flag bit 0 once asked for a per-session trace ring; an old
+  // client still setting it is served exactly like a flagless Create.
+  SetCollection c = MakePaperCollection();
+  InvertedIndex idx(c);
+  SessionManager manager(c, idx, ManagerOptions());
+  auto server = StartServer(manager);
+
+  RawConn conn(server->port());
+  const std::string flagless = Encode(CreateSessionMsg{});
+  conn.Send(flagless);
+  conn.Send(EncodeFrame(MsgType::kCreateSession,
+                        flagless.substr(kFrameHeaderBytes) + '\x01'));
+  SessionStateMsg plain, flagged;
+  for (SessionStateMsg* reply : {&plain, &flagged}) {
+    Frame frame;
+    ASSERT_EQ(conn.ReadFrame(&frame), FrameDecoder::Next::kFrame);
+    ASSERT_EQ(frame.type, MsgType::kSessionState);
+    ASSERT_TRUE(Decode(frame.body, reply));
+  }
+  EXPECT_NE(flagged.session_id, plain.session_id);
+  EXPECT_EQ(flagged.state, plain.state);
+  EXPECT_EQ(flagged.question, plain.question);
+  EXPECT_EQ(flagged.questions_asked, plain.questions_asked);
+  EXPECT_FALSE(flagged.has_token);
+
+  // The session is live and steps like any other.
+  SimulatedOracle oracle(&c, /*target=*/5);
+  conn.Send(Encode(AnswerMsg{flagged.session_id,
+                             oracle.AskMembership(flagged.question)}));
+  Frame frame;
+  ASSERT_EQ(conn.ReadFrame(&frame), FrameDecoder::Next::kFrame);
+  EXPECT_EQ(frame.type, MsgType::kSessionState);
 }
 
 TEST(DiscoveryServer, HalfClosingClientStillGetsItsReplies) {
@@ -774,7 +811,15 @@ TEST(DiscoveryServer, OneStatsRoundTripCarriesTheWholeServingPicture) {
   EXPECT_TRUE(saw_sessions_created);
 }
 
-TEST(DiscoveryServer, TracedSessionShipsItsRingOverTheWire) {
+// ---------------------------------------------------------------------------
+// Request-journey tracing end to end
+// ---------------------------------------------------------------------------
+
+TEST(DiscoveryServer, TracedSessionStepsAreItsJourneySpans) {
+  // A remote session's per-step record is the step spans under the trace id
+  // its client sent at Create: one per answer, numbered contiguously, with
+  // the phase breakdown inside each step's duration.
+  JourneyOn journey;
   SetCollection c = MakePaperCollection();
   InvertedIndex idx(c);
   SessionManager manager(c, idx, ManagerOptions());
@@ -782,9 +827,11 @@ TEST(DiscoveryServer, TracedSessionShipsItsRingOverTheWire) {
 
   DiscoveryClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
-
+  client.set_auto_trace(true);
   SessionStateMsg state;
-  ASSERT_TRUE(client.CreateSession({}, &state, /*enable_trace=*/true).ok());
+  ASSERT_TRUE(client.CreateSession({}, &state).ok());
+  const obs::TraceId trace{client.sent_trace_hi(), client.sent_trace_lo()};
+  ASSERT_TRUE(trace.valid());
   SimulatedOracle oracle(&c, /*target=*/3);
   uint32_t steps = 0;
   while (state.state == SessionState::kAwaitingAnswer) {
@@ -798,54 +845,18 @@ TEST(DiscoveryServer, TracedSessionShipsItsRingOverTheWire) {
   ASSERT_EQ(state.state, SessionState::kFinished);
   ASSERT_GT(steps, 0u);
 
-  TraceReplyMsg trace;
-  ASSERT_TRUE(client.GetTrace(state.session_id, &trace).ok());
-  EXPECT_EQ(trace.session_id, state.session_id);
-  ASSERT_EQ(trace.events.size(), static_cast<size_t>(steps));
+  const std::vector<RecordedStep> recorded = RecordedSteps(trace);
+  ASSERT_EQ(recorded.size(), static_cast<size_t>(steps));
   for (uint32_t i = 0; i < steps; ++i) {
-    const obs::TraceEvent& ev = trace.events[i];
-    EXPECT_EQ(ev.step, i);
-    EXPECT_EQ(ev.kind, 0);  // clean answers: no verify steps
-    EXPECT_GT(ev.total_ns, 0u);
-    const uint64_t select =
-        ev.phase_ns[static_cast<size_t>(obs::Phase::kSelect)];
-    const uint64_t emit = ev.phase_ns[static_cast<size_t>(obs::Phase::kEmit)];
-    EXPECT_LE(select + emit, ev.total_ns);
+    const obs::Span& span = recorded[i].span;
+    EXPECT_STREQ(span.name, "step:answer");  // clean answers: no verify
+    EXPECT_EQ(SpanAnnotationU64(span, "step"), i);
+    EXPECT_GT(span.duration_ns, 0u);
+    const uint64_t select = SpanAnnotationU64(span, "select_ns");
+    const uint64_t emit = PhaseNanos(recorded[i], obs::Phase::kEmit);
+    EXPECT_LE(select + emit, span.duration_ns);
   }
 }
-
-TEST(DiscoveryServer, GetTraceErrorsMatchSessionState) {
-  SetCollection c = MakePaperCollection();
-  InvertedIndex idx(c);
-  SessionManager manager(c, idx, ManagerOptions());
-  auto server = StartServer(manager);
-
-  DiscoveryClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
-
-  TraceReplyMsg trace;
-  EXPECT_FALSE(client.GetTrace(424242, &trace).ok());
-  EXPECT_EQ(client.last_status(), WireStatus::kNotFound);
-
-  // An untraced session has no ring: asking for one is a state error, and
-  // the connection survives it.
-  SessionStateMsg state;
-  ASSERT_TRUE(client.CreateSession({}, &state).ok());
-  EXPECT_FALSE(client.GetTrace(state.session_id, &trace).ok());
-  EXPECT_EQ(client.last_status(), WireStatus::kWrongState);
-  SessionStateMsg probe;
-  EXPECT_TRUE(client.GetSession(state.session_id, &probe).ok());
-}
-
-// ---------------------------------------------------------------------------
-// Request-journey tracing end to end
-// ---------------------------------------------------------------------------
-
-/// Turns journey tracing on for one test and restores the default after.
-struct JourneyOn {
-  JourneyOn() { obs::SetJourneyEnabled(true); }
-  ~JourneyOn() { obs::SetJourneyEnabled(false); }
-};
 
 TEST(DiscoveryServer, JourneySpansReconstructTheRequestTree) {
   JourneyOn journey;

@@ -20,6 +20,8 @@
 #include <vector>
 
 #include "core/selectors.h"
+#include "obs/journey.h"
+#include "obs/registry.h"
 #include "service/durability.h"
 #include "service/session_manager.h"
 #include "service/session_store.h"
@@ -54,7 +56,7 @@ SessionRecord MakeRecord(uint64_t id) {
   rec.options.handle_dont_know = true;
   rec.options.max_questions = 17;
   rec.options.max_backtracks = 3;
-  rec.set_trace_enabled(true);
+  rec.trace = {0x1111222233334444ULL, 0x5555666677778888ULL + id};
   rec.create_effort = 2;
   rec.initial = {kA, kB, kC};
   rec.events = {{kEventAnswer, 0, 0},
@@ -82,8 +84,7 @@ TEST(SessionRecordCodec, Roundtrip) {
   EXPECT_EQ(back.options.handle_dont_know, rec.options.handle_dont_know);
   EXPECT_EQ(back.options.max_questions, rec.options.max_questions);
   EXPECT_EQ(back.options.max_backtracks, rec.options.max_backtracks);
-  EXPECT_EQ(back.flags, rec.flags);
-  EXPECT_TRUE(back.trace_enabled());
+  EXPECT_EQ(back.trace, rec.trace);
   EXPECT_EQ(back.create_effort, rec.create_effort);
   EXPECT_EQ(back.initial, rec.initial);
   ASSERT_EQ(back.events.size(), rec.events.size());
@@ -116,6 +117,62 @@ TEST(SessionRecordCodec, RejectsTrailingGarbageAndBadVersion) {
   std::string wrong_version = buf;
   wrong_version[0] = static_cast<char>(0x7f);
   EXPECT_FALSE(DecodeSessionRecord(wrong_version, &out));
+}
+
+// The version-1 layout, written the way its encoder did: a flags byte (bit
+// 0 = the retired per-session trace ring) where version 2 keeps the trace id.
+std::string EncodeV1Record(const SessionRecord& rec, uint8_t flags) {
+  std::string out;
+  ByteWriter w(&out);
+  w.PutU8(1);
+  w.PutU64(rec.id);
+  w.PutU64(rec.token);
+  w.PutU64(rec.collection_fingerprint);
+  w.PutString(rec.selector);
+  w.PutU32(static_cast<uint32_t>(rec.options.max_questions));
+  w.PutU8(rec.options.handle_dont_know ? 1 : 0);
+  w.PutU8(rec.options.verify_and_backtrack ? 1 : 0);
+  w.PutU32(static_cast<uint32_t>(rec.options.max_backtracks));
+  w.PutU8(flags);
+  w.PutU8(rec.create_effort);
+  w.PutU32(static_cast<uint32_t>(rec.initial.size()));
+  for (EntityId e : rec.initial) w.PutU32(e);
+  w.PutU32(static_cast<uint32_t>(rec.events.size()));
+  for (const SessionEvent& ev : rec.events) {
+    w.PutU8(ev.kind);
+    w.PutU8(ev.value);
+    w.PutU8(ev.effort);
+  }
+  return out;
+}
+
+TEST(SessionRecordCodec, DecodesVersionOneRecords) {
+  // Records written before the trace id replaced the flags byte are crash
+  // recovery state: they still decode, with no trace id, whatever the
+  // retired trace bit said.
+  const SessionRecord rec = MakeRecord(11);
+  for (uint8_t flags : {uint8_t{0}, uint8_t{1}}) {
+    const std::string v1 = EncodeV1Record(rec, flags);
+    SessionRecord back;
+    ASSERT_TRUE(DecodeSessionRecord(v1, &back)) << "flags " << int{flags};
+    EXPECT_FALSE(back.trace.valid());
+    EXPECT_EQ(back.id, rec.id);
+    EXPECT_EQ(back.token, rec.token);
+    EXPECT_EQ(back.selector, rec.selector);
+    EXPECT_EQ(back.options.max_questions, rec.options.max_questions);
+    EXPECT_EQ(back.create_effort, rec.create_effort);
+    EXPECT_EQ(back.initial, rec.initial);
+    ASSERT_EQ(back.events.size(), rec.events.size());
+    for (size_t len = 0; len < v1.size(); ++len) {
+      EXPECT_FALSE(
+          DecodeSessionRecord(std::string_view(v1).substr(0, len), &back))
+          << "accepted a " << len << "-byte prefix";
+    }
+  }
+  // The version-2 encoding is the version-1 one with 15 more bytes.
+  std::string v2;
+  EncodeSessionRecord(rec, &v2);
+  EXPECT_EQ(v2.size(), EncodeV1Record(rec, 0).size() + 15);
 }
 
 // ---------------------------------------------------------------------------
@@ -517,8 +574,7 @@ void CheckSpillParity(const DiscoveryOptions& discovery,
     }
     ref_s[target].view = ref.Create({});
     spill_s[target].view =
-        spilly.Create({}, /*enable_trace=*/false, /*journey_trace=*/{},
-                      /*issue_token=*/true);
+        spilly.Create({}, /*journey_trace=*/{}, /*issue_token=*/true);
     spill_s[target].token = spill_s[target].view.token;
     EXPECT_NE(spill_s[target].token, 0u);
   }
@@ -628,7 +684,7 @@ TEST(RestartResume, Unsharded) {
     for (SetId target = 0; target < c.num_sets(); ++target) {
       LiveSession s;
       s.oracle = std::make_unique<SimulatedOracle>(&c, target, 0.0, 0.0, 1);
-      s.view = manager.Create({}, false, {}, /*issue_token=*/true);
+      s.view = manager.Create({}, {}, /*issue_token=*/true);
       s.token = s.view.token;
       // Answer (target % 3) questions, then "crash".
       for (SetId step = 0; step < target % 3; ++step) {
@@ -705,6 +761,181 @@ TEST(RestartResume, CloseErasesTheRecord) {
 }
 
 // ---------------------------------------------------------------------------
+// What a resume records: nothing for the replay, and the stored trace id
+// ---------------------------------------------------------------------------
+
+/// A store-backed MostEven manager holding one live session at a time, so
+/// every Create spills the previous conversation.
+SessionManagerOptions OneLiveSession(SessionStore* store) {
+  SessionManagerOptions o;
+  o.selector_factory = [] { return std::make_unique<MostEvenSelector>(); };
+  o.background_reap = false;
+  o.max_sessions = 1;
+  o.session_store = store;
+  return o;
+}
+
+TEST(SpillResume, ReplayRecordsNoStepsOrSpans) {
+  JourneyOn journey;
+  SetCollection c = RandomCollection(/*seed=*/5, /*n=*/64, /*m=*/24, 0.3);
+  InvertedIndex idx(c);
+  SessionStoreOptions sopt;
+  sopt.dir = FreshDir("replay_quiet");
+  SessionStore store(sopt);
+  ASSERT_TRUE(store.Open(c.Fingerprint()).ok());
+  SessionManager manager(c, idx, OneLiveSession(&store));
+
+  SessionView view = manager.Create({});
+  SimulatedOracle oracle(&c, /*target=*/3);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(view.state, SessionState::kAwaitingAnswer);
+    ASSERT_EQ(manager.SubmitAnswer(view.id,
+                                   oracle.AskMembership(view.question), &view),
+              SessionStatus::kOk);
+  }
+  ASSERT_EQ(view.state, SessionState::kAwaitingAnswer);
+  manager.Create({});  // spills the answered session
+
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  obs::Counter* answers =
+      reg.GetCounter("setdisc_steps_total", {{"kind", "answer"}});
+  obs::Histogram* step_hist =
+      reg.GetHistogram("setdisc_step_latency_ns", {{"selector", "MostEven"}});
+  obs::Histogram* create_hist =
+      reg.GetHistogram("setdisc_create_latency_ns", {{"selector", "MostEven"}});
+  const uint64_t answers_before = answers->Value();
+  const uint64_t steps_before = step_hist->Snapshot().count;
+  const uint64_t creates_before = create_hist->Snapshot().count;
+
+  // Resume it the way a server pool job would, under a request context.
+  obs::JourneyContext jc;
+  jc.trace = obs::MakeTraceId();
+  jc.request_span = obs::NextSpanId();
+  SessionView resumed;
+  {
+    obs::JourneyScope scope(&jc);
+    ASSERT_EQ(manager.Get(view.id, &resumed), SessionStatus::kOk);
+  }
+  EXPECT_EQ(resumed.questions_asked, 2);
+
+  // Two replayed answers, and no step was served.
+  EXPECT_EQ(answers->Value() - answers_before, 0u);
+  EXPECT_EQ(step_hist->Snapshot().count - steps_before, 0u);
+  EXPECT_EQ(create_hist->Snapshot().count - creates_before, 0u);
+  EXPECT_FALSE(jc.have_step) << "replay overwrote the request's step fields";
+  EXPECT_TRUE(RecordedSteps(jc.trace).empty());
+  for (const obs::Span& span : obs::Journey().Snapshot()) {
+    EXPECT_NE(span.parent_id, jc.request_span)
+        << "replay emitted " << span.name << " under the resuming request";
+  }
+
+  // The resumed session records its next step like any other.
+  ASSERT_EQ(manager.SubmitAnswer(view.id, oracle.AskMembership(resumed.question),
+                                 &resumed),
+            SessionStatus::kOk);
+  EXPECT_EQ(answers->Value() - answers_before, 1u);
+  EXPECT_EQ(step_hist->Snapshot().count - steps_before, 1u);
+}
+
+TEST(SpillResume, ResumedConversationKeepsItsTraceId) {
+  JourneyOn journey;
+  SetCollection c = MakePaperCollection();
+  InvertedIndex idx(c);
+  SessionStoreOptions sopt;
+  sopt.dir = FreshDir("resume_trace");
+  SessionStore store(sopt);
+  ASSERT_TRUE(store.Open(c.Fingerprint()).ok());
+  SessionManager manager(c, idx, OneLiveSession(&store));
+
+  // Every step runs as its own request, whose context carries no id.
+  auto answer = [&](SessionView* view, Oracle& oracle) {
+    obs::JourneyContext jc;
+    jc.request_span = obs::NextSpanId();
+    obs::JourneyScope scope(&jc);
+    return manager.SubmitAnswer(view->id, oracle.AskMembership(view->question),
+                                view);
+  };
+
+  const obs::TraceId trace = obs::MakeTraceId();
+  SessionView view = manager.Create({}, trace);
+  SimulatedOracle oracle(&c, /*target=*/5);
+  ASSERT_EQ(answer(&view, oracle), SessionStatus::kOk);
+  ASSERT_EQ(view.state, SessionState::kAwaitingAnswer);
+  manager.Create({});  // spills it: only the store record remains
+
+  // The resume request itself (kResumeSession is a Get) joins the trace,
+  // so the replay it pays for is in the conversation's record too.
+  obs::JourneyContext resume;
+  {
+    obs::JourneyScope scope(&resume);
+    ASSERT_EQ(manager.Get(view.id, &view), SessionStatus::kOk);
+  }
+  EXPECT_EQ(resume.session_id, view.id);
+  EXPECT_TRUE(resume.trace == trace);
+
+  manager.Create({});  // spills it again
+  ASSERT_EQ(answer(&view, oracle), SessionStatus::kOk);  // rehydrates
+  const std::vector<RecordedStep> steps = RecordedSteps(trace);
+  ASSERT_EQ(steps.size(), 2u) << "the resumed step left the trace";
+  EXPECT_EQ(SpanAnnotationU64(steps[0].span, "step"), 0u);
+  EXPECT_EQ(SpanAnnotationU64(steps[1].span, "step"), 1u);
+}
+
+TEST(SpillResume, VersionOneRecordRehydratesWithoutATraceId) {
+  JourneyOn journey;
+  SetCollection c = MakePaperCollection();
+  InvertedIndex idx(c);
+
+  // Reference: a fresh session after one yes answer.
+  SessionManagerOptions ram;
+  ram.selector_factory = [] { return std::make_unique<MostEvenSelector>(); };
+  ram.background_reap = false;
+  SessionManager ref(c, idx, ram);
+  SessionView want = ref.Create({});
+  ASSERT_EQ(ref.SubmitAnswer(want.id, Oracle::Answer::kYes, &want),
+            SessionStatus::kOk);
+  ASSERT_EQ(want.state, SessionState::kAwaitingAnswer);
+
+  // The same conversation as a version-1 WAL record, trace bit set.
+  SessionRecord rec;
+  rec.id = 5;
+  rec.token = 9;
+  rec.collection_fingerprint = c.Fingerprint();
+  rec.selector = "MostEven";
+  rec.events = {{kEventAnswer, static_cast<uint8_t>(Oracle::Answer::kYes), 0}};
+  const std::string dir = FreshDir("v1_record");
+  std::filesystem::create_directories(dir);
+  std::string wal;
+  AppendRecord(&wal, std::string(1, '\x01') + EncodeV1Record(rec, 1));
+  std::ofstream(dir + "/sessions.wal", std::ios::binary) << wal;
+
+  SessionStoreOptions sopt;
+  sopt.dir = dir;
+  SessionStore store(sopt);
+  ASSERT_TRUE(store.Open(c.Fingerprint()).ok());
+  SessionManagerOptions o = ram;
+  o.session_store = &store;
+  SessionManager manager(c, idx, o);
+  SessionView view;
+  ASSERT_EQ(manager.Get(rec.id, &view, rec.token), SessionStatus::kOk);
+  EXPECT_EQ(view.questions_asked, 1);
+  EXPECT_EQ(view.question, want.question);
+
+  // With no stored id, the next step's request gets a fresh trace, and the
+  // step numbering continues after the replayed answer.
+  obs::JourneyContext jc;
+  {
+    obs::JourneyScope scope(&jc);
+    ASSERT_EQ(manager.SubmitAnswer(rec.id, Oracle::Answer::kNo, &view,
+                                   rec.token),
+              SessionStatus::kOk);
+  }
+  const std::vector<RecordedStep> steps = RecordedSteps(jc.trace);
+  ASSERT_EQ(steps.size(), 1u);
+  EXPECT_EQ(SpanAnnotationU64(steps[0].span, "step"), 1u);
+}
+
+// ---------------------------------------------------------------------------
 // Reaper / evictor vs. resume: the spill race under a tiny capacity
 // ---------------------------------------------------------------------------
 
@@ -743,7 +974,7 @@ TEST(SpillRace, ReaperAndEvictorVsResume) {
         SetId target =
             static_cast<SetId>((t * kSessionsPerThread + i) % c.num_sets());
         SimulatedOracle oracle(&c, target, 0.0, 0.0, /*seed=*/t * 100 + i);
-        SessionView view = manager.Create({}, false, {}, /*issue_token=*/true);
+        SessionView view = manager.Create({}, {}, /*issue_token=*/true);
         const uint64_t token = view.token;
         int guard = 0;
         while (view.state != SessionState::kFinished && guard++ < 10000) {

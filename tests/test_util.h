@@ -1,12 +1,17 @@
 #pragma once
 
-/// Shared fixtures for the test suite: the paper's running example (Fig. 1)
-/// and random-collection generators for property tests.
+/// Shared fixtures for the test suite: the paper's running example (Fig. 1),
+/// random-collection generators for property tests, and a reader of one
+/// session's steps from the journey ring.
 
+#include <cstdlib>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "collection/set_collection.h"
 #include "collection/sub_collection.h"
+#include "obs/journey.h"
 #include "util/rng.h"
 
 namespace setdisc::testing {
@@ -95,6 +100,58 @@ inline SetCollection RandomCollection(uint64_t seed, uint32_t n, uint32_t m,
     again.AddSet(std::move(elems));
   }
   return again.Build();
+}
+
+/// Turns journey tracing on for one test and restores the default after.
+struct JourneyOn {
+  JourneyOn() { obs::SetJourneyEnabled(true); }
+  ~JourneyOn() { obs::SetJourneyEnabled(false); }
+};
+
+/// One recorded step of a session: its `step:answer` / `step:verify` span
+/// and that span's phase children.
+struct RecordedStep {
+  obs::Span span;
+  std::vector<obs::Span> phases;
+};
+
+/// The steps of trace `trace` in the process journey ring, oldest first —
+/// a session's per-step record, read by filtering on its trace id.
+inline std::vector<RecordedStep> RecordedSteps(obs::TraceId trace) {
+  std::vector<RecordedStep> steps;
+  for (const obs::Span& s : obs::Journey().Snapshot()) {
+    if (s.trace_hi != trace.hi || s.trace_lo != trace.lo) continue;
+    if (std::string_view(s.name).starts_with("step:")) {
+      steps.push_back({s, {}});
+    } else if (!steps.empty() && s.parent_id == steps.back().span.span_id) {
+      steps.back().phases.push_back(s);  // pushed right after their step
+    }
+  }
+  return steps;
+}
+
+/// The value of annotation `key` on `span`, or "" when it has none.
+inline std::string SpanAnnotation(const obs::Span& span, std::string_view key) {
+  for (uint8_t i = 0; i < span.num_annotations; ++i) {
+    if (key == span.ann_key[i]) return span.ann_value[i];
+  }
+  return "";
+}
+
+/// A numeric annotation (AnnotateU64) of `span`; 0 when it has none.
+inline uint64_t SpanAnnotationU64(const obs::Span& span, std::string_view key) {
+  return std::strtoull(SpanAnnotation(span, key).c_str(), nullptr, 10);
+}
+
+/// The summed duration of the phase children named `phase`.
+inline uint64_t PhaseNanos(const RecordedStep& step, obs::Phase phase) {
+  uint64_t ns = 0;
+  for (const obs::Span& child : step.phases) {
+    if (std::string_view(child.name) == obs::PhaseName(phase)) {
+      ns += child.duration_ns;
+    }
+  }
+  return ns;
 }
 
 }  // namespace setdisc::testing

@@ -1,16 +1,18 @@
-// Tests for per-step tracing: TraceRing bounding, the thread-local phase
-// attribution machinery (PhaseScope / PhaseTimer / NoteServePath), and
-// end-to-end traced sessions through the SessionManager — including the
-// phase-hierarchy invariant that a step's phase latencies decompose its
-// measured step latency.
+// Tests for per-step tracing: the thread-local phase attribution machinery
+// (PhaseScope / PhaseTimer / NoteServePath), and a session's trace end to
+// end through the SessionManager — the journey step spans carrying its
+// trace id, including the phase-hierarchy invariant that a step's phase
+// latencies decompose its measured step latency.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/selectors.h"
+#include "obs/journey.h"
 #include "obs/trace.h"
 #include "service/session_manager.h"
 #include "test_util.h"
@@ -23,46 +25,6 @@ using obs::Phase;
 using obs::PhaseAccum;
 using obs::PhaseScope;
 using obs::PhaseTimer;
-using obs::TraceEvent;
-using obs::TraceRing;
-
-// ---------------------------------------------------------------------------
-// TraceRing
-// ---------------------------------------------------------------------------
-
-TraceEvent EventWithStep(uint32_t step) {
-  TraceEvent e;
-  e.step = step;
-  return e;
-}
-
-TEST(TraceRing, FillsThenOverwritesOldest) {
-  TraceRing ring(4);
-  EXPECT_EQ(ring.capacity(), 4u);
-  EXPECT_TRUE(ring.Events().empty());
-  for (uint32_t i = 0; i < 3; ++i) ring.Push(EventWithStep(i));
-  std::vector<TraceEvent> events = ring.Events();
-  ASSERT_EQ(events.size(), 3u);
-  for (uint32_t i = 0; i < 3; ++i) EXPECT_EQ(events[i].step, i);
-
-  for (uint32_t i = 3; i < 10; ++i) ring.Push(EventWithStep(i));
-  events = ring.Events();
-  ASSERT_EQ(events.size(), 4u);  // bounded at capacity
-  for (uint32_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(events[i].step, 6 + i) << "oldest-first after wrap";
-  }
-  EXPECT_EQ(ring.total(), 10u);
-}
-
-TEST(TraceRing, ZeroCapacityClampsToOne) {
-  TraceRing ring(0);
-  EXPECT_EQ(ring.capacity(), 1u);
-  ring.Push(EventWithStep(1));
-  ring.Push(EventWithStep(2));
-  std::vector<TraceEvent> events = ring.Events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].step, 2u);
-}
 
 // ---------------------------------------------------------------------------
 // Phase attribution
@@ -166,7 +128,7 @@ TEST(PhaseNames, ReservedSlotKeepsWirePositions) {
 }
 
 // ---------------------------------------------------------------------------
-// Traced sessions end to end
+// A session's trace end to end: the journey spans carrying its trace id
 // ---------------------------------------------------------------------------
 
 SessionManagerOptions TracedOptions() {
@@ -176,55 +138,50 @@ SessionManagerOptions TracedOptions() {
   return options;
 }
 
-TEST(SessionTrace, GetTraceStatusCodes) {
-  SetCollection c = MakePaperCollection();
-  InvertedIndex idx(c);
-  SessionManager manager(c, idx, TracedOptions());
-
-  std::vector<obs::TraceEvent> events;
-  EXPECT_EQ(manager.GetTrace(999, &events), SessionStatus::kNotFound);
-
-  SessionId untraced = manager.Create({}).id;
-  EXPECT_EQ(manager.GetTrace(untraced, &events), SessionStatus::kWrongState);
-
-  SessionId traced = manager.Create({}, /*enable_trace=*/true).id;
-  EXPECT_EQ(manager.GetTrace(traced, &events), SessionStatus::kOk);
-  EXPECT_TRUE(events.empty());  // no step taken yet (creation is untraced)
-
-  ASSERT_EQ(manager.Close(traced), SessionStatus::kOk);
-  EXPECT_EQ(manager.GetTrace(traced, &events), SessionStatus::kNotFound);
+/// Takes one step of `view` the way a server pool job runs a request: under
+/// a fresh JourneyContext carrying no trace id, so the step inherits the id
+/// stored with the session.
+SessionStatus StepAsRequest(SessionManager& manager, Oracle& oracle,
+                            SessionView* view) {
+  obs::JourneyContext jc;
+  jc.request_span = obs::NextSpanId();
+  obs::JourneyScope scope(&jc);
+  if (view->state == SessionState::kAwaitingAnswer) {
+    return manager.SubmitAnswer(view->id, oracle.AskMembership(view->question),
+                                view);
+  }
+  return manager.Verify(view->id, oracle.ConfirmTarget(view->verify_set),
+                        view);
 }
 
 TEST(SessionTrace, RecordsEveryStepWithConsistentBookkeeping) {
+  JourneyOn journey;
   SetCollection c = MakePaperCollection();
   InvertedIndex idx(c);
   SessionManager manager(c, idx, TracedOptions());
 
   for (SetId target = 0; target < c.num_sets(); ++target) {
-    SessionView view = manager.Create({}, /*enable_trace=*/true);
+    const obs::TraceId trace = obs::MakeTraceId();
+    SessionView view = manager.Create({}, trace);
+    // The creation select is not a step: nothing is recorded yet.
+    EXPECT_TRUE(RecordedSteps(trace).empty());
     SimulatedOracle oracle(&c, target);
-    const SessionId id = view.id;
-    int steps = 0;
+    size_t steps = 0;
     while (view.state == SessionState::kAwaitingAnswer) {
-      ASSERT_EQ(manager.SubmitAnswer(id, oracle.AskMembership(view.question),
-                                     &view),
-                SessionStatus::kOk);
+      ASSERT_EQ(StepAsRequest(manager, oracle, &view), SessionStatus::kOk);
       ++steps;
 
-      std::vector<obs::TraceEvent> events;
-      ASSERT_EQ(manager.GetTrace(id, &events), SessionStatus::kOk);
-      ASSERT_EQ(events.size(), static_cast<size_t>(steps));
-      const obs::TraceEvent& last = events.back();
-      EXPECT_EQ(last.step, static_cast<uint32_t>(steps - 1));
-      EXPECT_EQ(last.kind, 0);  // answer step
+      const std::vector<RecordedStep> recorded = RecordedSteps(trace);
+      ASSERT_EQ(recorded.size(), steps);
+      const obs::Span& last = recorded.back().span;
+      EXPECT_STREQ(last.name, "step:answer");
+      EXPECT_EQ(SpanAnnotationU64(last, "step"), steps - 1);
       if (view.state == SessionState::kAwaitingAnswer) {
         // A next question was selected, so a counting pass ran and tagged
         // the step. (The final step may skip counting entirely.)
-        EXPECT_NE(last.serve_path,
-                  static_cast<uint8_t>(obs::ServePath::kUnknown));
+        EXPECT_NE(SpanAnnotation(last, "path"), "unknown");
       }
-      EXPECT_LE(last.candidates_after, last.candidates_before);
-      EXPECT_GT(last.total_ns, 0u);
+      EXPECT_GT(last.duration_ns, 0u);
     }
     ASSERT_EQ(view.state, SessionState::kFinished);
     ASSERT_TRUE(view.result.found());
@@ -232,12 +189,41 @@ TEST(SessionTrace, RecordsEveryStepWithConsistentBookkeeping) {
   }
 }
 
+TEST(SessionTrace, VerifyStepsContinueTheNumbering) {
+  JourneyOn journey;
+  SetCollection c = MakePaperCollection();
+  InvertedIndex idx(c);
+  SessionManagerOptions options = TracedOptions();
+  options.discovery.verify_and_backtrack = true;
+  SessionManager manager(c, idx, options);
+
+  const obs::TraceId trace = obs::MakeTraceId();
+  SessionView view = manager.Create({}, trace);
+  SimulatedOracle oracle(&c, /*target=*/4);
+  size_t steps = 0;
+  while (view.state != SessionState::kFinished && steps < 50) {
+    ASSERT_EQ(StepAsRequest(manager, oracle, &view), SessionStatus::kOk);
+    ++steps;
+  }
+  ASSERT_TRUE(view.result.confirmed);
+
+  const std::vector<RecordedStep> recorded = RecordedSteps(trace);
+  ASSERT_EQ(recorded.size(), steps);
+  for (size_t i = 0; i < steps; ++i) {
+    EXPECT_EQ(SpanAnnotationU64(recorded[i].span, "step"), i);
+  }
+  // The last step confirmed the set: a verify span, which names no entity.
+  EXPECT_STREQ(recorded.back().span.name, "step:verify");
+  EXPECT_EQ(SpanAnnotation(recorded.back().span, "entity"), "");
+}
+
 // The acceptance invariant: a traced step's phase latencies decompose its
-// step latency. Phases form a hierarchy — cache-lookup/count/order/
-// shard-merge nest inside the selector's Select() (kSelect), and kSelect
-// plus kEmit are disjoint spans inside the step — so nested sums never
+// step latency. Phases form a hierarchy — cache-lookup/count/order nest
+// inside the selector's Select() (the step span's select_ns), and select
+// plus emit are disjoint spans inside the step — so nested sums never
 // exceed their parent span, and select+emit covers the bulk of the step.
 TEST(SessionTrace, PhaseLatenciesDecomposeStepLatency) {
+  JourneyOn journey;
   SetCollection c = RandomCollection(/*seed=*/3, /*n=*/200, /*m=*/48, 0.3);
   InvertedIndex idx(c);
   SessionManager manager(c, idx, TracedOptions());
@@ -246,28 +232,29 @@ TEST(SessionTrace, PhaseLatenciesDecomposeStepLatency) {
   uint64_t total = 0;
   size_t answer_steps = 0;
   for (SetId target = 0; target < 8; ++target) {
-    SessionView view = manager.Create({}, /*enable_trace=*/true);
+    const obs::TraceId trace = obs::MakeTraceId();
+    SessionView view = manager.Create({}, trace);
     SimulatedOracle oracle(&c, target);
-    view = manager.Drive(view, oracle);
-    ASSERT_EQ(view.state, SessionState::kFinished);
+    while (view.state != SessionState::kFinished) {
+      ASSERT_EQ(StepAsRequest(manager, oracle, &view), SessionStatus::kOk);
+    }
 
-    std::vector<obs::TraceEvent> events;
-    ASSERT_EQ(manager.GetTrace(view.id, &events), SessionStatus::kOk);
-    ASSERT_FALSE(events.empty());
-    for (const obs::TraceEvent& e : events) {
-      const uint64_t select = e.phase_ns[static_cast<size_t>(Phase::kSelect)];
-      const uint64_t emit = e.phase_ns[static_cast<size_t>(Phase::kEmit)];
-      const uint64_t inner =
-          e.phase_ns[static_cast<size_t>(Phase::kCacheLookup)] +
-          e.phase_ns[static_cast<size_t>(Phase::kCount)] +
-          e.phase_ns[static_cast<size_t>(Phase::kOrder)];
+    const std::vector<RecordedStep> recorded = RecordedSteps(trace);
+    ASSERT_EQ(recorded.size(), view.result.questions);
+    for (const RecordedStep& step : recorded) {
+      const uint64_t select = SpanAnnotationU64(step.span, "select_ns");
+      const uint64_t emit = PhaseNanos(step, Phase::kEmit);
+      const uint64_t inner = PhaseNanos(step, Phase::kCacheLookup) +
+                             PhaseNanos(step, Phase::kCount) +
+                             PhaseNanos(step, Phase::kOrder);
+      const uint64_t index = SpanAnnotationU64(step.span, "step");
       // Nested timers never exceed their enclosing span.
-      EXPECT_LE(inner, select) << "step " << e.step;
-      EXPECT_LE(select + emit, e.total_ns) << "step " << e.step;
-      if (e.kind == 0) {
+      EXPECT_LE(inner, select) << "step " << index;
+      EXPECT_LE(select + emit, step.span.duration_ns) << "step " << index;
+      if (std::string_view(step.span.name) == "step:answer") {
         ++answer_steps;
         covered += select + emit;
-        total += e.total_ns;
+        total += step.span.duration_ns;
       }
     }
   }
@@ -276,33 +263,6 @@ TEST(SessionTrace, PhaseLatenciesDecomposeStepLatency) {
   // step time; the remainder is transcript/bookkeeping outside any phase.
   EXPECT_GE(covered * 2, total)
       << "phases cover " << covered << "ns of " << total << "ns";
-}
-
-TEST(SessionTrace, RingBoundsLiveSessionHistory) {
-  SetCollection c = RandomCollection(/*seed=*/7, /*n=*/120, /*m=*/40, 0.35);
-  InvertedIndex idx(c);
-  SessionManagerOptions options = TracedOptions();
-  options.trace_capacity = 2;
-  SessionManager manager(c, idx, options);
-
-  SessionView view = manager.Create({}, /*enable_trace=*/true);
-  SimulatedOracle oracle(&c, /*target=*/0);
-  const SessionId id = view.id;
-  int steps = 0;
-  while (view.state == SessionState::kAwaitingAnswer && steps < 50) {
-    ASSERT_EQ(
-        manager.SubmitAnswer(id, oracle.AskMembership(view.question), &view),
-        SessionStatus::kOk);
-    ++steps;
-  }
-  ASSERT_GT(steps, 2);
-
-  std::vector<obs::TraceEvent> events;
-  ASSERT_EQ(manager.GetTrace(id, &events), SessionStatus::kOk);
-  ASSERT_EQ(events.size(), 2u);  // bounded by trace_capacity
-  // The ring keeps the most recent steps, oldest first.
-  EXPECT_EQ(events[0].step, static_cast<uint32_t>(steps - 2));
-  EXPECT_EQ(events[1].step, static_cast<uint32_t>(steps - 1));
 }
 
 }  // namespace
