@@ -815,49 +815,6 @@ TEST(DiscoveryServer, OneStatsRoundTripCarriesTheWholeServingPicture) {
 // Request-journey tracing end to end
 // ---------------------------------------------------------------------------
 
-TEST(DiscoveryServer, TracedSessionStepsAreItsJourneySpans) {
-  // A remote session's per-step record is the step spans under the trace id
-  // its client sent at Create: one per answer, numbered contiguously, with
-  // the phase breakdown inside each step's duration.
-  JourneyOn journey;
-  SetCollection c = MakePaperCollection();
-  InvertedIndex idx(c);
-  SessionManager manager(c, idx, ManagerOptions());
-  auto server = StartServer(manager);
-
-  DiscoveryClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
-  client.set_auto_trace(true);
-  SessionStateMsg state;
-  ASSERT_TRUE(client.CreateSession({}, &state).ok());
-  const obs::TraceId trace{client.sent_trace_hi(), client.sent_trace_lo()};
-  ASSERT_TRUE(trace.valid());
-  SimulatedOracle oracle(&c, /*target=*/3);
-  uint32_t steps = 0;
-  while (state.state == SessionState::kAwaitingAnswer) {
-    ASSERT_TRUE(client
-                    .Answer(state.session_id,
-                            oracle.AskMembership(state.question), &state)
-                    .ok());
-    ++steps;
-    ASSERT_LT(steps, 100u);
-  }
-  ASSERT_EQ(state.state, SessionState::kFinished);
-  ASSERT_GT(steps, 0u);
-
-  const std::vector<RecordedStep> recorded = RecordedSteps(trace);
-  ASSERT_EQ(recorded.size(), static_cast<size_t>(steps));
-  for (uint32_t i = 0; i < steps; ++i) {
-    const obs::Span& span = recorded[i].span;
-    EXPECT_STREQ(span.name, "step:answer");  // clean answers: no verify
-    EXPECT_EQ(SpanAnnotationU64(span, "step"), i);
-    EXPECT_GT(span.duration_ns, 0u);
-    const uint64_t select = SpanAnnotationU64(span, "select_ns");
-    const uint64_t emit = PhaseNanos(recorded[i], obs::Phase::kEmit);
-    EXPECT_LE(select + emit, span.duration_ns);
-  }
-}
-
 TEST(DiscoveryServer, JourneySpansReconstructTheRequestTree) {
   JourneyOn journey;
   SetCollection c = MakePaperCollection();
@@ -927,6 +884,18 @@ TEST(DiscoveryServer, JourneySpansReconstructTheRequestTree) {
   }
   EXPECT_EQ(queue_waits, request_ids.size());  // one wait child per request
   EXPECT_EQ(step_spans, static_cast<size_t>(steps));
+
+  // The step spans are the session's per-step record: numbered
+  // contiguously, with the phase breakdown inside each step's duration.
+  const std::vector<RecordedStep> recorded = RecordedSteps(trace);
+  ASSERT_EQ(recorded.size(), static_cast<size_t>(steps));
+  for (uint32_t i = 0; i < steps; ++i) {
+    const obs::Span& span = recorded[i].span;
+    EXPECT_EQ(SpanAnnotationU64(span, "step"), i);
+    const uint64_t select = SpanAnnotationU64(span, "select_ns");
+    const uint64_t emit = PhaseNanos(recorded[i], obs::Phase::kEmit);
+    EXPECT_LE(select + emit, span.duration_ns);
+  }
 
   // The same spans render as loadable Chrome trace JSON.
   const std::string json = obs::SpansToChromeJson(ours);
