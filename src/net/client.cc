@@ -55,7 +55,7 @@ void DiscoveryClient::SleepBackoff(int attempt, uint32_t hint_ms) {
 
 void DiscoveryClient::NoteState(const SessionStateMsg& state) {
   SessionCtx& ctx = sessions_[state.session_id];
-  if (state.has_token) ctx.token = state.token;
+  if (state.token != 0) ctx.token = state.token;
   ctx.state = state.state;
   ctx.question = state.question;
   ctx.questions_asked = state.questions_asked;
@@ -119,7 +119,7 @@ Status DiscoveryClient::Call(std::string frame, MsgType expected, Frame* reply) 
     }
     last_status_ = error.status;
     last_error_message_ = error.message;
-    if (error.has_retry_after) last_retry_after_ms_ = error.retry_after_ms;
+    last_retry_after_ms_ = error.retry_after_ms;
     return Status::Error("server: " + error.message);
   }
   if (reply->type != expected) {
@@ -182,7 +182,8 @@ Status DiscoveryClient::SessionCall(uint64_t session_id, bool resend_safe,
       // its reply. An identical state proves it never landed: resend.
       SessionStateMsg resumed;
       Frame probe;
-      Status rs = Call(Encode(ResumeSessionMsg{session_id, before.token}),
+      Status rs = Call(Encode(MsgType::kResumeSession,
+                              SessionRefMsg{session_id, before.token}),
                        MsgType::kSessionState, &probe);
       if (rs.ok()) rs = DecodeState(probe, &resumed);
       if (rs.ok()) {
@@ -215,29 +216,17 @@ Status DiscoveryClient::CreateSession(std::span<const EntityId> initial,
                                       SessionStateMsg* out) {
   CreateSessionMsg msg;
   msg.initial.assign(initial.begin(), initial.end());
-  // Advertise busy handling so refusals come back with the retry hint; a
-  // legacy-mode client sends the flagless encoding an old binary would.
-  msg.busy_capable = !legacy_create_;
-  // Ask for an auth token (old servers ignore the bit and reply tokenless);
-  // the token is what later makes reconnect-resume possible.
-  msg.want_token = want_token_ && !legacy_create_;
-  sent_trace_hi_ = 0;
-  sent_trace_lo_ = 0;
-  if (!legacy_create_) {
-    uint64_t hi = trace_hi_, lo = trace_lo_;
-    if ((hi | lo) == 0 && auto_trace_) {
-      const obs::TraceId fresh = obs::MakeTraceId();
-      hi = fresh.hi;
-      lo = fresh.lo;
-    }
-    if ((hi | lo) != 0) {
-      msg.has_trace_id = true;
-      msg.trace_hi = hi;
-      msg.trace_lo = lo;
-      sent_trace_hi_ = hi;
-      sent_trace_lo_ = lo;
-    }
+  // The auth token is what later makes reconnect-resume possible.
+  msg.want_token = want_token_;
+  msg.trace_hi = trace_hi_;
+  msg.trace_lo = trace_lo_;
+  if ((msg.trace_hi | msg.trace_lo) == 0 && auto_trace_) {
+    const obs::TraceId fresh = obs::MakeTraceId();
+    msg.trace_hi = fresh.hi;
+    msg.trace_lo = fresh.lo;
   }
+  sent_trace_hi_ = msg.trace_hi;
+  sent_trace_lo_ = msg.trace_lo;
   // Create rides its own retry loop: there is no session to probe yet, and
   // a resend after a lost reply simply starts a fresh conversation (the
   // orphan, if any, is reaped server-side).
@@ -273,7 +262,6 @@ Status DiscoveryClient::Answer(uint64_t session_id, Oracle::Answer answer,
   msg.session_id = session_id;
   msg.answer = answer;
   msg.token = session_token(session_id);
-  msg.has_token = msg.token != 0;
   return SessionCall(session_id, /*resend_safe=*/false, Encode(msg), out);
 }
 
@@ -283,17 +271,15 @@ Status DiscoveryClient::Verify(uint64_t session_id, bool confirmed,
   msg.session_id = session_id;
   msg.confirmed = confirmed;
   msg.token = session_token(session_id);
-  msg.has_token = msg.token != 0;
   return SessionCall(session_id, /*resend_safe=*/false, Encode(msg), out);
 }
 
 Status DiscoveryClient::GetSession(uint64_t session_id, SessionStateMsg* out) {
-  SessionRefMsg msg;
-  msg.session_id = session_id;
-  msg.token = session_token(session_id);
-  msg.has_token = msg.token != 0;
-  return SessionCall(session_id, /*resend_safe=*/true,
-                     Encode(MsgType::kGetSession, msg), out);
+  return SessionCall(
+      session_id, /*resend_safe=*/true,
+      Encode(MsgType::kGetSession,
+             SessionRefMsg{session_id, session_token(session_id)}),
+      out);
 }
 
 Status DiscoveryClient::ResumeSession(uint64_t session_id, SessionStateMsg* out,
@@ -302,15 +288,13 @@ Status DiscoveryClient::ResumeSession(uint64_t session_id, SessionStateMsg* out,
   // Remember an explicitly supplied token (e.g. one persisted across a
   // client restart) so every follow-up request attaches it.
   if (token != 0) sessions_[session_id].token = token;
-  return SessionCall(session_id, /*resend_safe=*/true,
-                     Encode(ResumeSessionMsg{session_id, token}), out);
+  return SessionCall(
+      session_id, /*resend_safe=*/true,
+      Encode(MsgType::kResumeSession, SessionRefMsg{session_id, token}), out);
 }
 
 Status DiscoveryClient::CloseSession(uint64_t session_id) {
-  SessionRefMsg msg;
-  msg.session_id = session_id;
-  msg.token = session_token(session_id);
-  msg.has_token = msg.token != 0;
+  const SessionRefMsg msg{session_id, session_token(session_id)};
   Frame reply;
   Status status =
       Call(Encode(MsgType::kCloseSession, msg), MsgType::kClosed, &reply);

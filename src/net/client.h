@@ -78,8 +78,8 @@ class DiscoveryClient {
   /// Closes a server-side session (the connection stays up).
   Status CloseSession(uint64_t session_id);
 
-  /// Server-side counters (and, from servers that ship it, the rich
-  /// metrics section — out->has_rich says which you got).
+  /// Server-side counters, latency summaries, registry dump and slow-step
+  /// exemplars.
   Status GetStats(StatsReplyMsg* out);
 
   /// WireStatus of the last completed RPC: kOk on success, the server's
@@ -90,20 +90,11 @@ class DiscoveryClient {
   const std::string& last_error_message() const { return last_error_message_; }
 
   /// Back-off hint from the last kBusy refusal, in milliseconds (0 when the
-  /// last error carried none). Only servers with admission control send it,
-  /// and only to clients that advertised busy_capable.
+  /// last error carried none). Only servers with admission control set it.
   uint32_t last_retry_after_ms() const { return last_retry_after_ms_; }
 
-  /// Emit pre-busy CreateSession encodings (no busy_capable flag), as an old
-  /// client would. Exists so tests can exercise the server's compat path:
-  /// refusals to such a client must be plain kBusy errors with no trailer.
-  /// Also suppresses any trace-context trailer.
-  void set_legacy_create(bool legacy) { legacy_create_ = legacy; }
-
-  /// Propagate this 128-bit trace id with every subsequent CreateSession
-  /// (flag bit 0x04 + 16 trailing bytes). Both halves zero clears it. Old
-  /// servers reject the flagged encoding as malformed — only set against
-  /// servers that know it. Ignored in legacy_create mode.
+  /// Propagate this 128-bit trace id with every subsequent CreateSession.
+  /// Both halves zero clears it.
   void set_trace_id(uint64_t hi, uint64_t lo) {
     trace_hi_ = hi;
     trace_lo_ = lo;
@@ -113,12 +104,10 @@ class DiscoveryClient {
   /// (set_trace_id wins when both are configured and the pinned id is valid).
   void set_auto_trace(bool on) { auto_trace_ = on; }
 
-  /// Ask the server for a session auth token on every CreateSession (flag
-  /// bit 0x08). The token is remembered per session and attached to every
-  /// later request on it — and it is what makes transparent reconnect-resume
-  /// possible. Old servers ignore the bit and reply tokenless; the client
-  /// then simply cannot resume those sessions. Ignored in legacy_create
-  /// mode. On by default.
+  /// Ask the server for a session auth token on every CreateSession. The
+  /// token is remembered per session and attached to every later request on
+  /// it — and it is what makes transparent reconnect-resume possible; a
+  /// tokenless session cannot be resumed. On by default.
   void set_want_token(bool on) { want_token_ = on; }
 
   /// Disable ALL automatic retry: busy refusals, reconnects, and resume
@@ -190,7 +179,6 @@ class DiscoveryClient {
   WireStatus last_status_ = WireStatus::kOk;
   std::string last_error_message_;
   uint32_t last_retry_after_ms_ = 0;
-  bool legacy_create_ = false;
   bool auto_trace_ = false;
   uint64_t trace_hi_ = 0;
   uint64_t trace_lo_ = 0;

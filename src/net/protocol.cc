@@ -130,23 +130,45 @@ FrameDecoder::Next FrameDecoder::Pop(Frame* out, WireStatus* error) {
 // Messages
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Bools travel as one byte that must be 0 or 1, so every accepted body
+// re-encodes to the same bytes.
+bool GetBool(PayloadReader& r, bool* out) {
+  uint8_t b = 0;
+  if (!r.GetU8(&b) || b > 1) return false;
+  *out = b != 0;
+  return true;
+}
+
+void PutHistogramSummary(PayloadWriter& w, const HistogramSummary& h) {
+  w.PutU64(h.count);
+  w.PutU64(h.sum);
+  w.PutU64(h.p50);
+  w.PutU64(h.p90);
+  w.PutU64(h.p99);
+  w.PutU64(h.p999);
+}
+
+bool GetHistogramSummary(PayloadReader& r, HistogramSummary* h) {
+  return r.GetU64(&h->count) && r.GetU64(&h->sum) && r.GetU64(&h->p50) &&
+         r.GetU64(&h->p90) && r.GetU64(&h->p99) && r.GetU64(&h->p999);
+}
+
+// Bytes per exemplar on the wire: six u64s, u32 step, u8 kind, u8 path,
+// then one u64 per phase.
+constexpr size_t kWireExemplarBytes = 8 * 6 + 4 + 1 + 1 + 8 * obs::kNumPhases;
+
+}  // namespace
+
 std::string Encode(const CreateSessionMsg& msg) {
   std::string body;
   PayloadWriter w(&body);
   w.PutU32(static_cast<uint32_t>(msg.initial.size()));
   for (EntityId e : msg.initial) w.PutU32(e);
-  // The flags byte is optional-trailing: omitted when zero, so a client with
-  // every flag off emits the exact pre-flags encoding that old servers
-  // require. The trace id (bit 2) rides as 16 further trailing bytes, only
-  // ever after a flags byte that announces them.
-  const uint8_t flags = static_cast<uint8_t>((msg.busy_capable ? 0x02 : 0) |
-                                             (msg.has_trace_id ? 0x04 : 0) |
-                                             (msg.want_token ? 0x08 : 0));
-  if (flags != 0) w.PutU8(flags);
-  if (msg.has_trace_id) {
-    w.PutU64(msg.trace_hi);
-    w.PutU64(msg.trace_lo);
-  }
+  w.PutU8(msg.want_token ? 1 : 0);
+  w.PutU64(msg.trace_hi);
+  w.PutU64(msg.trace_lo);
   return EncodeFrame(MsgType::kCreateSession, body);
 }
 
@@ -154,15 +176,8 @@ bool Decode(std::string_view body, CreateSessionMsg* out) {
   PayloadReader r(body);
   uint32_t n = 0;
   if (!r.GetU32(&n)) return false;
-  // The count must match the remaining bytes exactly — modulo one optional
-  // trailing flags byte, itself optionally followed by 16 trace-id bytes;
-  // anything else is a malformed frame, not a short read (framing already
-  // delivered the body whole).
-  const size_t ids_bytes = size_t{n} * sizeof(uint32_t);
-  if (r.remaining() != ids_bytes && r.remaining() != ids_bytes + 1 &&
-      r.remaining() != ids_bytes + 17) {
-    return false;
-  }
+  // Bound the count by the bytes present before reserving anything.
+  if (r.remaining() < size_t{n} * sizeof(uint32_t)) return false;
   out->initial.clear();
   out->initial.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -170,79 +185,25 @@ bool Decode(std::string_view body, CreateSessionMsg* out) {
     if (!r.GetU32(&e)) return false;
     out->initial.push_back(e);
   }
-  out->busy_capable = false;
-  out->has_trace_id = false;
-  out->trace_hi = 0;
-  out->trace_lo = 0;
-  out->want_token = false;
-  if (r.remaining() > 0) {
-    uint8_t flags = 0;
-    if (!r.GetU8(&flags)) return false;
-    // Unknown flag bits (the retired bit 0 among them) are ignored, so
-    // future clients can set them without being rejected by this build —
-    // but the trace bit and its 16 bytes must agree: the bit without the
-    // bytes is a truncated frame, the bytes without the bit are trailing
-    // garbage.
-    out->busy_capable = (flags & 0x02) != 0;
-    out->want_token = (flags & 0x08) != 0;
-    const bool trace_bit = (flags & 0x04) != 0;
-    if (trace_bit != (r.remaining() == 16)) return false;
-    if (trace_bit) {
-      if (!r.GetU64(&out->trace_hi) || !r.GetU64(&out->trace_lo)) return false;
-      out->has_trace_id = true;
-    }
-  }
-  return r.Exhausted();
+  return GetBool(r, &out->want_token) && r.GetU64(&out->trace_hi) &&
+         r.GetU64(&out->trace_lo) && r.Exhausted();
 }
-
-namespace {
-
-// The token trailer shared by every session-stepping request: nothing when
-// the message carries no token (byte-identical to the pre-token encoding),
-// [u8 flags = 0x01][u64 token] when it does.
-void PutTokenTrailer(PayloadWriter& w, bool has_token, uint64_t token) {
-  if (!has_token) return;
-  w.PutU8(0x01);
-  w.PutU64(token);
-}
-
-// Decodes the trailer at the reader's current position. Exactly zero or nine
-// bytes may remain; the flags byte's token bit and the eight token bytes
-// must agree (the bit without the bytes is truncation, the bytes without the
-// bit are garbage, and a lone flags byte is garbage too — the encoder never
-// emits one). Unknown flag bits alongside the token bit are tolerated for
-// the same reason the CreateSession flags byte tolerates them.
-bool GetTokenTrailer(PayloadReader& r, bool* has_token, uint64_t* token) {
-  *has_token = false;
-  *token = 0;
-  if (r.remaining() == 0) return true;
-  if (r.remaining() != 1 + sizeof(uint64_t)) return false;
-  uint8_t flags = 0;
-  if (!r.GetU8(&flags)) return false;
-  if ((flags & 0x01) == 0) return false;
-  if (!r.GetU64(token)) return false;
-  *has_token = true;
-  return r.Exhausted();
-}
-
-}  // namespace
 
 std::string Encode(const AnswerMsg& msg) {
   std::string body;
   PayloadWriter w(&body);
   w.PutU64(msg.session_id);
   w.PutU8(AnswerToWire(msg.answer));
-  PutTokenTrailer(w, msg.has_token, msg.token);
+  w.PutU64(msg.token);
   return EncodeFrame(MsgType::kAnswer, body);
 }
 
 bool Decode(std::string_view body, AnswerMsg* out) {
   PayloadReader r(body);
   uint8_t answer = 0;
-  if (!r.GetU64(&out->session_id) || !r.GetU8(&answer)) return false;
-  if (!AnswerFromWire(answer, &out->answer)) return false;
-  if (!GetTokenTrailer(r, &out->has_token, &out->token)) return false;
-  return r.Exhausted();
+  return r.GetU64(&out->session_id) && r.GetU8(&answer) &&
+         AnswerFromWire(answer, &out->answer) && r.GetU64(&out->token) &&
+         r.Exhausted();
 }
 
 std::string Encode(const VerifyMsg& msg) {
@@ -250,47 +211,27 @@ std::string Encode(const VerifyMsg& msg) {
   PayloadWriter w(&body);
   w.PutU64(msg.session_id);
   w.PutU8(msg.confirmed ? 1 : 0);
-  PutTokenTrailer(w, msg.has_token, msg.token);
+  w.PutU64(msg.token);
   return EncodeFrame(MsgType::kVerify, body);
 }
 
 bool Decode(std::string_view body, VerifyMsg* out) {
   PayloadReader r(body);
-  uint8_t confirmed = 0;
-  if (!r.GetU64(&out->session_id) || !r.GetU8(&confirmed)) return false;
-  if (confirmed > 1) return false;
-  out->confirmed = confirmed != 0;
-  if (!GetTokenTrailer(r, &out->has_token, &out->token)) return false;
-  return r.Exhausted();
+  return r.GetU64(&out->session_id) && GetBool(r, &out->confirmed) &&
+         r.GetU64(&out->token) && r.Exhausted();
 }
 
 std::string Encode(MsgType type, const SessionRefMsg& msg) {
   std::string body;
   PayloadWriter w(&body);
   w.PutU64(msg.session_id);
-  PutTokenTrailer(w, msg.has_token, msg.token);
+  w.PutU64(msg.token);
   return EncodeFrame(type, body);
 }
 
 bool Decode(std::string_view body, SessionRefMsg* out) {
   PayloadReader r(body);
-  if (!r.GetU64(&out->session_id)) return false;
-  if (!GetTokenTrailer(r, &out->has_token, &out->token)) return false;
-  return r.Exhausted();
-}
-
-std::string Encode(const ResumeSessionMsg& msg) {
-  std::string body;
-  PayloadWriter w(&body);
-  w.PutU64(msg.session_id);
-  w.PutU64(msg.token);
-  return EncodeFrame(MsgType::kResumeSession, body);
-}
-
-bool Decode(std::string_view body, ResumeSessionMsg* out) {
-  PayloadReader r(body);
-  if (!r.GetU64(&out->session_id) || !r.GetU64(&out->token)) return false;
-  return r.Exhausted();
+  return r.GetU64(&out->session_id) && r.GetU64(&out->token) && r.Exhausted();
 }
 
 std::string EncodeStatsRequest() {
@@ -303,10 +244,7 @@ std::string Encode(const ErrorMsg& msg) {
   w.PutU8(static_cast<uint8_t>(msg.status));
   w.PutU32(static_cast<uint32_t>(msg.message.size()));
   w.PutBytes(msg.message);
-  // Optional-trailing retry-after: senders set has_retry_after only for
-  // clients that declared busy_capable — pre-flags decoders demand exact
-  // exhaustion and would poison their stream on these four bytes.
-  if (msg.has_retry_after) w.PutU32(msg.retry_after_ms);
+  w.PutU32(msg.retry_after_ms);
   return EncodeFrame(MsgType::kError, body);
 }
 
@@ -314,19 +252,13 @@ bool Decode(std::string_view body, ErrorMsg* out) {
   PayloadReader r(body);
   uint8_t status = 0;
   uint32_t len = 0;
-  if (!r.GetU8(&status) || !r.GetU32(&len)) return false;
   std::string_view text;
-  if (!r.GetBytes(len, &text)) return false;
+  if (!r.GetU8(&status) || !r.GetU32(&len) || !r.GetBytes(len, &text) ||
+      !r.GetU32(&out->retry_after_ms)) {
+    return false;
+  }
   out->status = static_cast<WireStatus>(status);
   out->message.assign(text);
-  out->retry_after_ms = 0;
-  out->has_retry_after = false;
-  if (r.remaining() == sizeof(uint32_t)) {
-    if (!r.GetU32(&out->retry_after_ms)) return false;
-    out->has_retry_after = true;
-  }
-  // Anything else trailing (1-3 bytes, or > 4) is malformed, not a future
-  // extension: extensions to this message must version the frame.
   return r.Exhausted();
 }
 
@@ -354,9 +286,7 @@ std::string Encode(const SessionStateMsg& msg) {
       w.PutU8(answer);
     }
   }
-  // Token trailer, only ever appended when the client asked (want_token):
-  // old decoders demand exact exhaustion and would reject the extra bytes.
-  PutTokenTrailer(w, msg.has_token, msg.token);
+  w.PutU64(msg.token);
   return EncodeFrame(MsgType::kSessionState, body);
 }
 
@@ -372,20 +302,17 @@ bool Decode(std::string_view body, SessionStateMsg* out) {
   out->result = WireResult{};
   if (out->state == SessionState::kFinished) {
     WireResult& res = out->result;
-    uint8_t confirmed = 0, halted = 0;
     uint32_t num_candidates = 0;
     if (!r.GetU32(&res.questions) || !r.GetU32(&res.backtracks) ||
-        !r.GetU8(&confirmed) || !r.GetU8(&halted) ||
+        !GetBool(r, &res.confirmed) || !GetBool(r, &res.halted) ||
         !r.GetU32(&res.total_candidates) || !r.GetU32(&num_candidates)) {
       return false;
     }
     if (num_candidates > kMaxWireCandidates ||
-        num_candidates > res.total_candidates) {
+        num_candidates > res.total_candidates ||
+        r.remaining() < size_t{num_candidates} * sizeof(uint32_t)) {
       return false;
     }
-    res.confirmed = confirmed != 0;
-    res.halted = halted != 0;
-    if (r.remaining() < size_t{num_candidates} * sizeof(uint32_t)) return false;
     res.candidates.reserve(num_candidates);
     for (uint32_t i = 0; i < num_candidates; ++i) {
       uint32_t s = 0;
@@ -397,11 +324,8 @@ bool Decode(std::string_view body, SessionStateMsg* out) {
       return false;
     }
     if (transcript_len > kMaxWireTranscript ||
-        transcript_len > res.total_transcript) {
-      return false;
-    }
-    if (r.remaining() != size_t{transcript_len} * 5 &&
-        r.remaining() != size_t{transcript_len} * 5 + 9) {
+        transcript_len > res.total_transcript ||
+        r.remaining() < size_t{transcript_len} * 5) {
       return false;
     }
     res.transcript.reserve(transcript_len);
@@ -413,40 +337,18 @@ bool Decode(std::string_view body, SessionStateMsg* out) {
       res.transcript.emplace_back(entity, answer);
     }
   }
-  if (!GetTokenTrailer(r, &out->has_token, &out->token)) return false;
-  return r.Exhausted();
+  return r.GetU64(&out->token) && r.Exhausted();
 }
-
-namespace {
-
-void PutHistogramSummary(PayloadWriter& w, const HistogramSummary& h) {
-  w.PutU64(h.count);
-  w.PutU64(h.sum);
-  w.PutU64(h.p50);
-  w.PutU64(h.p90);
-  w.PutU64(h.p99);
-  w.PutU64(h.p999);
-}
-
-bool GetHistogramSummary(PayloadReader& r, HistogramSummary* h) {
-  return r.GetU64(&h->count) && r.GetU64(&h->sum) && r.GetU64(&h->p50) &&
-         r.GetU64(&h->p90) && r.GetU64(&h->p99) && r.GetU64(&h->p999);
-}
-
-}  // namespace
 
 std::string Encode(const StatsReplyMsg& msg) {
   std::string body;
   PayloadWriter w(&body);
-  // Version-0 prefix, byte-exact: old clients parse exactly this much.
   w.PutU64(msg.active_sessions);
   w.PutU64(msg.created_sessions);
   w.PutU64(msg.connections_open);
   w.PutU64(msg.connections_total);
   w.PutU64(msg.frames_received);
   w.PutU64(msg.frames_sent);
-  if (!msg.has_rich) return EncodeFrame(MsgType::kStatsReply, body);
-  w.PutU8(msg.rich_version);
   PutHistogramSummary(w, msg.step_latency);
   PutHistogramSummary(w, msg.pool_queue_wait);
   w.PutU64(msg.pool_queue_depth);
@@ -469,28 +371,25 @@ std::string Encode(const StatsReplyMsg& msg) {
     w.PutBytes(std::string_view(name).substr(0, len));
     w.PutU64(value);
   }
-  // v2: the exemplar section. A v1 decoder stops at the registry and
-  // tolerates these as a newer server's trailing bytes.
-  if (msg.rich_version >= 2) {
-    w.PutU8(static_cast<uint8_t>(obs::kNumPhases));
-    const size_t first =
-        msg.exemplars.size() > kMaxWireExemplars
-            ? msg.exemplars.size() - kMaxWireExemplars
-            : 0;
-    w.PutU32(static_cast<uint32_t>(msg.exemplars.size() - first));
-    for (size_t i = first; i < msg.exemplars.size(); ++i) {
-      const WireExemplar& ex = msg.exemplars[i];
-      w.PutU64(ex.trace_hi);
-      w.PutU64(ex.trace_lo);
-      w.PutU64(ex.session_id);
-      w.PutU64(ex.ts_ns);
-      w.PutU32(ex.step);
-      w.PutU8(ex.kind);
-      w.PutU8(ex.serve_path);
-      w.PutU64(ex.total_ns);
-      w.PutU64(ex.queue_wait_ns);
-      for (size_t ph = 0; ph < obs::kNumPhases; ++ph) w.PutU64(ex.phase_ns[ph]);
-    }
+  // The phase count lets a decoder reject a peer built with another phase
+  // set instead of misreading its exemplars.
+  w.PutU8(static_cast<uint8_t>(obs::kNumPhases));
+  const size_t first = msg.exemplars.size() > kMaxWireExemplars
+                           ? msg.exemplars.size() - kMaxWireExemplars
+                           : 0;
+  w.PutU32(static_cast<uint32_t>(msg.exemplars.size() - first));
+  for (size_t i = first; i < msg.exemplars.size(); ++i) {
+    const WireExemplar& ex = msg.exemplars[i];
+    w.PutU64(ex.trace_hi);
+    w.PutU64(ex.trace_lo);
+    w.PutU64(ex.session_id);
+    w.PutU64(ex.ts_ns);
+    w.PutU32(ex.step);
+    w.PutU8(ex.kind);
+    w.PutU8(ex.serve_path);
+    w.PutU64(ex.total_ns);
+    w.PutU64(ex.queue_wait_ns);
+    for (size_t ph = 0; ph < obs::kNumPhases; ++ph) w.PutU64(ex.phase_ns[ph]);
   }
   return EncodeFrame(MsgType::kStatsReply, body);
 }
@@ -500,21 +399,8 @@ bool Decode(std::string_view body, StatsReplyMsg* out) {
   if (!r.GetU64(&out->active_sessions) || !r.GetU64(&out->created_sessions) ||
       !r.GetU64(&out->connections_open) ||
       !r.GetU64(&out->connections_total) || !r.GetU64(&out->frames_received) ||
-      !r.GetU64(&out->frames_sent)) {
-    return false;
-  }
-  out->has_rich = false;
-  out->registry.clear();
-  // A version-0 server stops here: exactly the legacy body is a valid reply.
-  if (r.remaining() == 0) return true;
-  uint8_t version = 0;
-  if (!r.GetU8(&version) || version == 0) return false;
-  out->rich_version = version;
-  // Parse the v1 layout (every later version starts with it). Truncation
-  // inside it trips the reader and is rejected; bytes AFTER it are a newer
-  // server's extensions and are tolerated — that asymmetry is the
-  // extensibility contract of this message.
-  if (!GetHistogramSummary(r, &out->step_latency) ||
+      !r.GetU64(&out->frames_sent) ||
+      !GetHistogramSummary(r, &out->step_latency) ||
       !GetHistogramSummary(r, &out->pool_queue_wait) ||
       !r.GetU64(&out->pool_queue_depth) || !r.GetU64(&out->cache_lookups) ||
       !r.GetU64(&out->cache_hits) || !r.GetU64(&out->delta_full) ||
@@ -524,12 +410,12 @@ bool Decode(std::string_view body, StatsReplyMsg* out) {
     return false;
   }
   uint32_t n = 0;
-  if (!r.GetU32(&n)) return false;
-  if (n > kMaxWireRegistryEntries) return false;
+  if (!r.GetU32(&n) || n > kMaxWireRegistryEntries) return false;
   // Cheapest-possible-entry bound before reserving anything.
   if (r.remaining() < size_t{n} * (sizeof(uint16_t) + sizeof(uint64_t))) {
     return false;
   }
+  out->registry.clear();
   out->registry.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     uint16_t len = 0;
@@ -540,40 +426,27 @@ bool Decode(std::string_view body, StatsReplyMsg* out) {
     }
     out->registry.emplace_back(std::string(name), value);
   }
-  out->has_rich = true;
-  out->has_exemplars = false;
-  out->exemplars.clear();
-  // v2 appends the exemplar section; same contract one layer up — parse it
-  // when the server announced it, reject truncation inside it, tolerate
-  // bytes a v3 might append after it.
-  if (version >= 2) {
-    uint8_t num_phases = 0;
-    uint32_t ex_n = 0;
-    if (!r.GetU8(&num_phases) || !r.GetU32(&ex_n)) return false;
-    if (num_phases == 0 || num_phases > 64) return false;
-    if (ex_n > kMaxWireExemplars) return false;
-    const size_t per_ex = 8 * 6 + 4 + 1 + 1 + size_t{num_phases} * 8;
-    if (r.remaining() < size_t{ex_n} * per_ex) return false;
-    out->exemplars.reserve(ex_n);
-    for (uint32_t i = 0; i < ex_n; ++i) {
-      WireExemplar ex;
-      if (!r.GetU64(&ex.trace_hi) || !r.GetU64(&ex.trace_lo) ||
-          !r.GetU64(&ex.session_id) || !r.GetU64(&ex.ts_ns) ||
-          !r.GetU32(&ex.step) || !r.GetU8(&ex.kind) ||
-          !r.GetU8(&ex.serve_path) || !r.GetU64(&ex.total_ns) ||
-          !r.GetU64(&ex.queue_wait_ns)) {
-        return false;
-      }
-      for (size_t ph = 0; ph < num_phases; ++ph) {
-        uint64_t v = 0;
-        if (!r.GetU64(&v)) return false;
-        if (ph < obs::kNumPhases) ex.phase_ns[ph] = v;
-      }
-      out->exemplars.push_back(ex);
-    }
-    out->has_exemplars = true;
+  uint8_t num_phases = 0;
+  uint32_t ex_n = 0;
+  if (!r.GetU8(&num_phases) || num_phases != obs::kNumPhases ||
+      !r.GetU32(&ex_n) || ex_n > kMaxWireExemplars ||
+      r.remaining() < size_t{ex_n} * kWireExemplarBytes) {
+    return false;
   }
-  return r.ok();
+  out->exemplars.assign(ex_n, WireExemplar{});
+  for (WireExemplar& ex : out->exemplars) {
+    if (!r.GetU64(&ex.trace_hi) || !r.GetU64(&ex.trace_lo) ||
+        !r.GetU64(&ex.session_id) || !r.GetU64(&ex.ts_ns) ||
+        !r.GetU32(&ex.step) || !r.GetU8(&ex.kind) ||
+        !r.GetU8(&ex.serve_path) || !r.GetU64(&ex.total_ns) ||
+        !r.GetU64(&ex.queue_wait_ns)) {
+      return false;
+    }
+    for (uint64_t& ns : ex.phase_ns) {
+      if (!r.GetU64(&ns)) return false;
+    }
+  }
+  return r.Exhausted();
 }
 
 SessionStateMsg ToWire(const SessionView& view) {
@@ -583,9 +456,6 @@ SessionStateMsg ToWire(const SessionView& view) {
   msg.question = view.question;
   msg.verify_set = view.verify_set;
   msg.questions_asked = static_cast<uint32_t>(view.questions_asked);
-  // The token is carried but not marked for the wire: only the server's
-  // Create path flips has_token, and only when the client set want_token.
-  msg.token = view.token;
   if (view.state == SessionState::kFinished) {
     const DiscoveryResult& res = view.result;
     msg.result.questions = static_cast<uint32_t>(res.questions);

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file protocol.h
-/// The setdisc binary wire protocol (version 1): length-prefixed frames that
+/// The setdisc binary wire protocol (version 2): length-prefixed frames that
 /// carry a discovery conversation between a client and a DiscoveryServer
 /// multiplexing sessions onto a SessionManager.
 ///
@@ -44,7 +44,7 @@
 
 namespace setdisc::net {
 
-inline constexpr uint8_t kProtocolVersion = 1;
+inline constexpr uint8_t kProtocolVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 8;
 
 /// Default upper bound on a frame body. Large enough for any realistic
@@ -55,19 +55,21 @@ inline constexpr size_t kDefaultMaxBody = size_t{1} << 20;
 /// Message types. Requests have the high bit clear, replies have it set.
 enum class MsgType : uint8_t {
   // client -> server
-  kCreateSession = 0x01,  ///< body: u32 n, n * u32 initial entity ids
-  kAnswer = 0x02,         ///< body: u64 session, u8 answer (WireAnswer)
-  kVerify = 0x03,         ///< body: u64 session, u8 confirmed (0/1)
-  kGetSession = 0x04,     ///< body: u64 session
-  kCloseSession = 0x05,   ///< body: u64 session
+  kCreateSession = 0x01,  ///< body: CreateSessionMsg — u32 n, n * u32 ids,
+                          ///< u8 want_token, u64 trace hi, u64 trace lo
+  kAnswer = 0x02,         ///< body: u64 session, u8 WireAnswer, u64 token
+  kVerify = 0x03,         ///< body: u64 session, u8 confirmed, u64 token
+  kGetSession = 0x04,     ///< body: u64 session, u64 token
+  kCloseSession = 0x05,   ///< body: u64 session, u64 token
   kStats = 0x06,          ///< body: empty
-  kResumeSession = 0x08,  ///< body: u64 session, u64 token (ResumeSessionMsg)
+  kResumeSession = 0x08,  ///< body: u64 session, u64 token
 
   // server -> client
   kSessionState = 0x81,  ///< body: SessionStateMsg
   kStatsReply = 0x82,    ///< body: StatsReplyMsg
-  kClosed = 0x83,        ///< body: u64 session (reply to kCloseSession)
-  kError = 0xFF,         ///< body: u8 WireStatus, u32 len, message bytes
+  kClosed = 0x83,        ///< body: u64 session, u64 token (always 0)
+  kError = 0xFF,         ///< body: u8 WireStatus, u32 len, message bytes,
+                         ///< u32 retry_after_ms
 };
 
 /// Status codes carried by Error frames (and surfaced by the client).
@@ -201,7 +203,7 @@ struct Frame {
   std::string body;
 };
 
-/// Wraps `body` in a version-1 frame header.
+/// Wraps `body` in a frame header of kProtocolVersion.
 std::string EncodeFrame(MsgType type, std::string_view body);
 
 /// Incremental frame decoder for a TCP byte stream. Feed() whatever the
@@ -240,67 +242,41 @@ class FrameDecoder {
 // Messages
 // ---------------------------------------------------------------------------
 
-/// The flags live in an optional trailing byte, emitted only when a bit is
-/// set, so a client with every flag off produces the exact pre-flags
-/// encoding. Bit 0 is retired: old clients may still set it, so it is
-/// ignored like every unknown bit and must not be given a new meaning.
+/// Every message has one fixed layout; a zero token or trace id means
+/// "absent", so no field is optional on the wire.
 struct CreateSessionMsg {
   std::vector<EntityId> initial;
-  /// Flag bit 1: this client understands kBusy refusals with a trailing
-  /// retry-after field. The server only appends that field (which an old
-  /// ErrorMsg decoder would reject as trailing garbage) when the Create
-  /// carried this bit; old clients get a plain, fully decodable kBusy/kError
-  /// body. New clients (net/client.h) always set it.
-  bool busy_capable = false;
-  /// Flag bit 2: 16 bytes of trace context (trace id hi, then lo, both u64
-  /// little-endian) follow the flags byte — the request-journey id the
-  /// server stamps on every span of this session (obs/journey.h). Same
-  /// compat shape as the flags byte itself: clients without a trace id emit
-  /// nothing extra, and the bit without its 16 bytes (or the bytes without
-  /// the bit) is malformed, so truncation anywhere is rejected.
-  bool has_trace_id = false;
+  /// Ask the server to mint a session auth token and return it in the
+  /// SessionState reply. Later requests on the session must present it; a
+  /// durability-enabled server accepts kResumeSession only with the matching
+  /// token. Encoded as a u8 that must be 0 or 1.
+  bool want_token = false;
+  /// The request-journey id the server stamps on every span of this session
+  /// (obs/journey.h); both halves zero lets the server pick one.
   uint64_t trace_hi = 0;
   uint64_t trace_lo = 0;
-  /// Flag bit 3: ask the server to mint a session auth token and return it
-  /// in the SessionState reply (trailing token section). Later requests on
-  /// the session must present it; a durability-enabled server accepts
-  /// kResumeSession only with the matching token. Rides in the existing
-  /// flags byte, so clients that never ask emit byte-identical frames.
-  bool want_token = false;
 };
 
-/// Per-message auth-token trailer: when `has_token` is set the encoder
-/// appends [u8 flags = 0x01][u64 token] after the fixed body. A tokenless
-/// message is byte-identical to the pre-token encoding, and decoders require
-/// the flag bit and the eight token bytes to agree — one without the other
-/// is malformed, so truncation anywhere is rejected rather than misread.
+/// Every request on an existing session ends in the session's auth token,
+/// 0 for a tokenless session. The Closed reply always carries 0.
 struct AnswerMsg {
   uint64_t session_id = 0;
   Oracle::Answer answer = Oracle::Answer::kDontKnow;
-  bool has_token = false;
   uint64_t token = 0;
 };
 
 struct VerifyMsg {
   uint64_t session_id = 0;
   bool confirmed = false;
-  bool has_token = false;
   uint64_t token = 0;
 };
 
-/// GetSession / CloseSession / Closed all carry just the session id (plus
-/// the optional token trailer on requests to a token-protected session).
+/// GetSession / CloseSession / Closed / ResumeSession: the session id and
+/// the token. ResumeSession rebinds a (possibly spilled or restart-survived)
+/// session to this connection and fetches its current state; its token must
+/// match the one minted at Create, and a mismatch is answered kNotFound —
+/// indistinguishable from an unknown id, so the id space leaks nothing.
 struct SessionRefMsg {
-  uint64_t session_id = 0;
-  bool has_token = false;
-  uint64_t token = 0;
-};
-
-/// kResumeSession: rebind a (possibly spilled or restart-survived) session
-/// to this connection and fetch its current state. The token must match the
-/// one minted at Create; a mismatch is answered kNotFound — indistinguishable
-/// from an unknown id, so the id space leaks nothing.
-struct ResumeSessionMsg {
   uint64_t session_id = 0;
   uint64_t token = 0;
 };
@@ -308,14 +284,8 @@ struct ResumeSessionMsg {
 struct ErrorMsg {
   WireStatus status = WireStatus::kOk;
   std::string message;
-  /// Back-off hint for kBusy refusals, carried as an optional trailing u32:
-  /// encoded only when has_retry_after is set (the server gates it on the
-  /// client's busy_capable flag — an old decoder requires exact exhaustion
-  /// and would poison its stream on the extra bytes). 0 is a valid hint
-  /// ("retry whenever"); has_retry_after says whether the field was on the
-  /// wire at all.
+  /// Back-off hint for kBusy refusals; 0 = no hint.
   uint32_t retry_after_ms = 0;
-  bool has_retry_after = false;
 };
 
 /// Upper bound on candidate ids embedded in a finished-session reply. A
@@ -361,11 +331,8 @@ struct SessionStateMsg {
   SetId verify_set = kNoSet;       ///< valid in kAwaitingVerify
   uint32_t questions_asked = 0;
   WireResult result;               ///< populated iff state == kFinished
-  /// Auth token, delivered once in the Create reply when the client set
-  /// want_token. Same optional-trailing shape as the request-side token:
-  /// servers never append it unless the client asked, so old decoders — which
-  /// demand exact exhaustion — keep working.
-  bool has_token = false;
+  /// Auth token: nonzero only in the reply to a want_token Create, the one
+  /// time the client learns it.
   uint64_t token = 0;
 };
 
@@ -388,7 +355,7 @@ inline constexpr uint32_t kMaxWireRegistryEntries = 4096;
 /// ExemplarStore capacity; ~100 bytes each keeps the section tiny).
 inline constexpr uint32_t kMaxWireExemplars = 64;
 
-/// One slow-step exemplar in the rich-v2 stats section: which request (by
+/// One slow-step exemplar in a StatsReply: which request (by
 /// trace id) was slow, where its time went, and how long it queued. The
 /// full span tree stays in the server's journey ring; this is the summary a
 /// remote operator can pull without shell access.
@@ -405,11 +372,7 @@ struct WireExemplar {
   uint64_t phase_ns[obs::kNumPhases] = {};
 };
 
-/// The kStats reply. The first six u64s are the version-0 body, byte-exact:
-/// an old client reads them and stops (its decoder must tolerate the longer
-/// body — see Decode). Everything after is the versioned rich section; a new
-/// client talking to an old server sees a 48-byte body and gets
-/// has_rich == false.
+/// The kStats reply: counters, histograms, scalars, registry, exemplars.
 struct StatsReplyMsg {
   uint64_t active_sessions = 0;
   uint64_t created_sessions = 0;
@@ -417,14 +380,6 @@ struct StatsReplyMsg {
   uint64_t connections_total = 0;
   uint64_t frames_received = 0;
   uint64_t frames_sent = 0;
-
-  /// True iff the reply carried the rich section (server >= this version).
-  bool has_rich = false;
-  /// Rich-section version the server wrote. Every version starts with the
-  /// v1 layout; v2 appends the slow-step exemplar section after the
-  /// registry dump. Decoders parse the layouts they know and ignore
-  /// trailing bytes appended by versions newer than this build.
-  uint8_t rich_version = 1;
 
   HistogramSummary step_latency;      ///< setdisc_step_latency_ns, all labels
   HistogramSummary pool_queue_wait;   ///< setdisc_pool_queue_wait_ns
@@ -442,10 +397,6 @@ struct StatsReplyMsg {
   /// appear as name{label="v",...}.
   std::vector<std::pair<std::string, uint64_t>> registry;
 
-  /// True iff the reply carried the v2 exemplar section (has_rich and the
-  /// server writes rich_version >= 2). An empty `exemplars` with
-  /// has_exemplars set means "section present, nothing slow yet".
-  bool has_exemplars = false;
   /// Slow-step exemplars, oldest first (most recent kMaxWireExemplars).
   std::vector<WireExemplar> exemplars;
 };
@@ -455,24 +406,20 @@ std::string Encode(const CreateSessionMsg& msg);
 std::string Encode(const AnswerMsg& msg);
 std::string Encode(const VerifyMsg& msg);
 std::string Encode(MsgType type, const SessionRefMsg& msg);
-std::string Encode(const ResumeSessionMsg& msg);
 std::string EncodeStatsRequest();
 std::string Encode(const ErrorMsg& msg);
 std::string Encode(const SessionStateMsg& msg);
 std::string Encode(const StatsReplyMsg& msg);
 
 // Decoders parse a frame body; false = malformed (wrong size, bad enum
-// value, trailing bytes).
+// value, a bool byte above 1, trailing bytes). Whatever a decoder accepts
+// re-encodes to the same bytes.
 bool Decode(std::string_view body, CreateSessionMsg* out);
 bool Decode(std::string_view body, AnswerMsg* out);
 bool Decode(std::string_view body, VerifyMsg* out);
 bool Decode(std::string_view body, SessionRefMsg* out);
-bool Decode(std::string_view body, ResumeSessionMsg* out);
 bool Decode(std::string_view body, ErrorMsg* out);
 bool Decode(std::string_view body, SessionStateMsg* out);
-/// Tolerates bodies longer than this build knows (a newer server's rich
-/// section, or trailing bytes after the known v1 layout) but rejects
-/// truncation anywhere inside a section it started to parse.
 bool Decode(std::string_view body, StatsReplyMsg* out);
 
 /// SessionView -> wire reply (server side).

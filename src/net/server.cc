@@ -373,14 +373,13 @@ HistogramSummary Summarize(const obs::HistogramSnapshot& snap) {
   return h;
 }
 
-/// Assembles the versioned rich section of a kStats reply: the merged
-/// latency histograms, the serve-path mix, the cache hit rate, the k-LP
-/// pruning totals, and a name->value dump of every counter/gauge the
-/// registry (including its probes) knows.
-void FillRichStats(SessionManager& manager, StatsReplyMsg* msg) {
+/// Assembles the metrics part of a kStats reply: the merged latency
+/// histograms, the serve-path mix, the cache hit rate, the k-LP pruning
+/// totals, a name->value dump of every counter/gauge the registry
+/// (including its probes) knows, and the slow-step exemplars (possibly none)
+/// so a remote operator sees which traces were slow and where the time went.
+void FillMetricStats(SessionManager& manager, StatsReplyMsg* msg) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  msg->has_rich = true;
-  msg->rich_version = 1;
   msg->step_latency = Summarize(reg.MergedHistogram("setdisc_step_latency_ns"));
   msg->pool_queue_wait =
       Summarize(reg.MergedHistogram("setdisc_pool_queue_wait_ns"));
@@ -413,10 +412,6 @@ void FillRichStats(SessionManager& manager, StatsReplyMsg* msg) {
     msg->registry.emplace_back(std::move(key),
                                static_cast<uint64_t>(sample.value));
   }
-  // v2: ship the slow-step exemplars (possibly none) so a remote operator
-  // sees which traces were slow and where the time went.
-  msg->rich_version = 2;
-  msg->has_exemplars = true;
   for (const obs::StepExemplar& ex : obs::ExemplarStore::Global().Snapshot()) {
     WireExemplar w;
     w.trace_hi = ex.trace.hi;
@@ -631,7 +626,8 @@ struct LoopCtx {
         if (!Decode(frame.body, &msg)) return ProtocolError(conn, WireStatus::kMalformed);
         SessionStatus status = manager.Close(msg.session_id, msg.token);
         if (status == SessionStatus::kOk) {
-          SendFrame(conn, Encode(MsgType::kClosed, msg));
+          SendFrame(conn, Encode(MsgType::kClosed,
+                                 SessionRefMsg{msg.session_id, 0}));
         } else {
           SendError(conn, ToWireStatus(status), "close: unknown session");
         }
@@ -649,7 +645,7 @@ struct LoopCtx {
           msg.frames_received = stats.frames_received;
           msg.frames_sent = stats.frames_sent;
         }
-        FillRichStats(manager, &msg);
+        FillMetricStats(manager, &msg);
         SendFrame(conn, Encode(msg));
         return;
       }
@@ -669,17 +665,13 @@ struct LoopCtx {
         // Admission gate: shed the conversation before it costs a pool slot.
         // Unlike draining or a protocol error, a busy refusal does NOT close
         // the connection — the client is expected to back off and retry on
-        // the same stream. The retry hint rides only to clients that
-        // advertised busy_capable; legacy decoders demand exact exhaustion.
+        // the same stream, after the retry hint.
         if (options.load_controller != nullptr) {
           uint32_t retry_ms = 0;
           if (!options.load_controller->AdmitCreate(&retry_ms)) {
-            ErrorMsg busy{WireStatus::kBusy, WireStatusName(WireStatus::kBusy)};
-            if (msg.busy_capable) {
-              busy.retry_after_ms = retry_ms;
-              busy.has_retry_after = true;
-            }
-            SendFrame(conn, Encode(busy));
+            SendFrame(conn, Encode(ErrorMsg{WireStatus::kBusy,
+                                            WireStatusName(WireStatus::kBusy),
+                                            retry_ms}));
             return;
           }
         }
@@ -692,11 +684,12 @@ struct LoopCtx {
         }
         Offload(conn, "create", trace,
                 [mgr = &manager, msg = std::move(msg), trace]() mutable {
-                  SessionStateMsg reply = ToWire(
-                      mgr->Create(msg.initial, trace, msg.want_token));
+                  const SessionView view =
+                      mgr->Create(msg.initial, trace, msg.want_token);
                   // The token rides the wire exactly once — in this reply,
-                  // and only because the client opted in with want_token.
-                  reply.has_token = msg.want_token && reply.token != 0;
+                  // and only when the client opted in with want_token.
+                  SessionStateMsg reply = ToWire(view);
+                  reply.token = view.token;
                   return Encode(reply);
                 });
         return;
@@ -725,30 +718,22 @@ struct LoopCtx {
         });
         return;
       }
-      case MsgType::kGetSession: {
+      // Get and Resume are one request under two names (the retry envelope
+      // sends Resume after a reconnect): the manager consults its durable
+      // store on a miss and rehydrates spilled (or restart-survived)
+      // conversations. A token mismatch answers kNotFound, exactly like an
+      // unknown id, so probing ids leaks nothing.
+      case MsgType::kGetSession:
+      case MsgType::kResumeSession: {
         SessionRefMsg msg;
         if (!Decode(frame.body, &msg)) return ProtocolError(conn, WireStatus::kMalformed);
         if (RefuseWhileDraining(conn)) return;
-        Offload(conn, "get", obs::TraceId{}, [mgr = &manager, msg] {
+        const char* rname =
+            frame.type == MsgType::kGetSession ? "get" : "resume";
+        Offload(conn, rname, obs::TraceId{}, [mgr = &manager, msg, rname] {
           SessionView view;
           SessionStatus status = mgr->Get(msg.session_id, &view, msg.token);
-          return StepReply(status, view, "get");
-        });
-        return;
-      }
-      // Resume is Get by another name on the wire, but it reaches sessions a
-      // Get cannot: the manager consults its durable store on a miss and
-      // rehydrates spilled (or restart-survived) conversations. The token is
-      // mandatory in the message; a mismatch answers kNotFound, exactly like
-      // an unknown id, so probing ids leaks nothing.
-      case MsgType::kResumeSession: {
-        ResumeSessionMsg msg;
-        if (!Decode(frame.body, &msg)) return ProtocolError(conn, WireStatus::kMalformed);
-        if (RefuseWhileDraining(conn)) return;
-        Offload(conn, "resume", obs::TraceId{}, [mgr = &manager, msg] {
-          SessionView view;
-          SessionStatus status = mgr->Get(msg.session_id, &view, msg.token);
-          return StepReply(status, view, "resume");
+          return StepReply(status, view, rname);
         });
         return;
       }

@@ -101,9 +101,9 @@ struct ServerOptions {
 
   /// Admission controller consulted on every CreateSession (non-owning; must
   /// outlive the server). When it refuses, the client gets a kBusy Error
-  /// frame — with the retry-after hint iff it advertised busy_capable — and
-  /// the connection STAYS OPEN: busy is a back-off signal, not a poisoned
-  /// stream. nullptr = admit everything (the pre-controller behaviour).
+  /// frame carrying the retry-after hint, and the connection STAYS OPEN:
+  /// busy is a back-off signal, not a poisoned stream. nullptr = admit
+  /// everything (the pre-controller behaviour).
   LoadController* load_controller = nullptr;
 
   /// Slow-step exemplar threshold in nanoseconds: an offloaded step whose

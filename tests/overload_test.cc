@@ -2,12 +2,12 @@
 // to a LoadController whose queue-depth sensor the test scripts — so
 // admission decisions are deterministic, no actual overload required.
 // Covers: excess Creates refused with kBusy (connection survives and serves
-// on), the retry-after hint reaching busy-capable clients and being
-// withheld from legacy ones, refusals leaving in-flight conversations
-// byte-exact against the in-process engine, and degraded sessions (effort
-// ladder engaged) still discovering every target with transcripts matching
-// an equally-degraded in-process session. A final unscripted smoke drives a
-// real saturating herd through a 1-thread pool under ASan/TSan.
+// on), the retry-after hint reaching the client, refusals leaving in-flight
+// conversations byte-exact against the in-process engine, and degraded
+// sessions (effort ladder engaged) still discovering every target with
+// transcripts matching an equally-degraded in-process session. A final
+// unscripted smoke drives a real saturating herd through a 1-thread pool
+// under ASan/TSan.
 
 #include <gtest/gtest.h>
 
@@ -139,40 +139,6 @@ TEST(Overload, ExcessCreatesGetBusyAndTheConnectionServesOn) {
   DiscoveryResult result = ToDiscoveryResult(state.result);
   ASSERT_TRUE(result.found());
   EXPECT_EQ(result.discovered(), 2u);
-}
-
-TEST(Overload, LegacyClientsGetWellFormedBusyWithoutTheHint) {
-  SetCollection c = MakePaperCollection();
-  InvertedIndex idx(c);
-  SessionManager manager(c, idx, ManagerOptions());
-  ScriptedController scripted;
-  ServerOptions server_options;
-  server_options.load_controller = scripted.controller.get();
-  auto server = StartServer(manager, server_options);
-  scripted.depth = 100;
-
-  // A pre-busy client (flagless CreateSession encoding): the refusal must
-  // decode as a plain kBusy Error with no trailer — last_retry_after_ms
-  // stays 0 and nothing corrupts the stream.
-  DiscoveryClient legacy;
-  legacy.set_legacy_create(true);
-  ASSERT_TRUE(legacy.Connect("127.0.0.1", server->port()).ok());
-  SessionStateMsg state;
-  Status s = legacy.CreateSession({}, &state);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(legacy.last_status(), WireStatus::kBusy);
-  EXPECT_EQ(legacy.last_retry_after_ms(), 0u);
-
-  // Stream intact: stats still round-trip on the legacy connection.
-  StatsReplyMsg stats;
-  EXPECT_TRUE(legacy.GetStats(&stats).ok());
-
-  // A current client on the same server DOES get the hint.
-  DiscoveryClient fresh;
-  ASSERT_TRUE(fresh.Connect("127.0.0.1", server->port()).ok());
-  ASSERT_FALSE(fresh.CreateSession({}, &state).ok());
-  EXPECT_EQ(fresh.last_status(), WireStatus::kBusy);
-  EXPECT_EQ(fresh.last_retry_after_ms(), 25u);
 }
 
 TEST(Overload, RefusalsLeaveInFlightConversationsByteExact) {

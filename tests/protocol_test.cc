@@ -6,9 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <iterator>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "net/protocol.h"
@@ -36,12 +34,20 @@ Frame DecodeOne(FrameDecoder& decoder, std::string_view bytes) {
 TEST(ProtocolRoundtrip, CreateSession) {
   CreateSessionMsg msg;
   msg.initial = {3, 0, 4294967294u};
+  msg.want_token = true;
+  msg.trace_hi = 0x1122334455667788ull;
+  msg.trace_lo = 0x99aabbccddeeff01ull;
   FrameDecoder decoder;
   Frame frame = DecodeOne(decoder, Encode(msg));
   EXPECT_EQ(frame.type, MsgType::kCreateSession);
+  // u32 n, n ids, u8 want_token, two u64 trace halves: one fixed layout.
+  EXPECT_EQ(frame.body.size(), 4 + 3 * 4 + 1 + 16u);
   CreateSessionMsg decoded;
   ASSERT_TRUE(Decode(frame.body, &decoded));
   EXPECT_EQ(decoded.initial, msg.initial);
+  EXPECT_TRUE(decoded.want_token);
+  EXPECT_EQ(decoded.trace_hi, msg.trace_hi);
+  EXPECT_EQ(decoded.trace_lo, msg.trace_lo);
 
   // Empty initial set is legal (all sets are candidates).
   msg.initial.clear();
@@ -54,28 +60,35 @@ TEST(ProtocolRoundtrip, AnswerAllThreeValues) {
   for (Oracle::Answer answer :
        {Oracle::Answer::kYes, Oracle::Answer::kNo, Oracle::Answer::kDontKnow}) {
     FrameDecoder decoder;
-    Frame frame = DecodeOne(decoder, Encode(AnswerMsg{0x1122334455667788ull, answer}));
+    Frame frame = DecodeOne(
+        decoder, Encode(AnswerMsg{0x1122334455667788ull, answer, 0xfeed}));
     EXPECT_EQ(frame.type, MsgType::kAnswer);
     AnswerMsg decoded;
     ASSERT_TRUE(Decode(frame.body, &decoded));
     EXPECT_EQ(decoded.session_id, 0x1122334455667788ull);
     EXPECT_EQ(decoded.answer, answer);
+    EXPECT_EQ(decoded.token, 0xfeedu);
   }
 }
 
 TEST(ProtocolRoundtrip, VerifyAndSessionRefAndStats) {
   FrameDecoder decoder;
-  Frame frame = DecodeOne(decoder, Encode(VerifyMsg{42, true}));
+  Frame frame = DecodeOne(decoder, Encode(VerifyMsg{42, true, 5}));
   VerifyMsg verify;
   ASSERT_TRUE(Decode(frame.body, &verify));
   EXPECT_EQ(verify.session_id, 42u);
   EXPECT_TRUE(verify.confirmed);
+  EXPECT_EQ(verify.token, 5u);
 
-  frame = DecodeOne(decoder, Encode(MsgType::kCloseSession, SessionRefMsg{7}));
-  EXPECT_EQ(frame.type, MsgType::kCloseSession);
-  SessionRefMsg ref;
-  ASSERT_TRUE(Decode(frame.body, &ref));
-  EXPECT_EQ(ref.session_id, 7u);
+  for (MsgType type : {MsgType::kGetSession, MsgType::kCloseSession,
+                       MsgType::kResumeSession, MsgType::kClosed}) {
+    frame = DecodeOne(decoder, Encode(type, SessionRefMsg{7, 0x0807060504}));
+    EXPECT_EQ(frame.type, type);
+    SessionRefMsg ref;
+    ASSERT_TRUE(Decode(frame.body, &ref));
+    EXPECT_EQ(ref.session_id, 7u);
+    EXPECT_EQ(ref.token, 0x0807060504u);
+  }
 
   frame = DecodeOne(decoder, EncodeStatsRequest());
   EXPECT_EQ(frame.type, MsgType::kStats);
@@ -97,13 +110,21 @@ TEST(ProtocolRoundtrip, VerifyAndSessionRefAndStats) {
 
 TEST(ProtocolRoundtrip, ErrorFrame) {
   FrameDecoder decoder;
-  Frame frame =
-      DecodeOne(decoder, Encode(ErrorMsg{WireStatus::kWrongState, "nope"}));
-  EXPECT_EQ(frame.type, MsgType::kError);
-  ErrorMsg decoded;
-  ASSERT_TRUE(Decode(frame.body, &decoded));
-  EXPECT_EQ(decoded.status, WireStatus::kWrongState);
-  EXPECT_EQ(decoded.message, "nope");
+  for (uint32_t hint : {0u, 50u, 0xFFFFFFFFu}) {
+    Frame frame =
+        DecodeOne(decoder, Encode(ErrorMsg{WireStatus::kBusy, "nope", hint}));
+    EXPECT_EQ(frame.type, MsgType::kError);
+    EXPECT_EQ(frame.body.size(), 1 + 4 + 4 + 4u);  // the hint is always there
+    ErrorMsg decoded;
+    ASSERT_TRUE(Decode(frame.body, &decoded));
+    EXPECT_EQ(decoded.status, WireStatus::kBusy);
+    EXPECT_EQ(decoded.message, "nope");
+    EXPECT_EQ(decoded.retry_after_ms, hint);
+  }
+  // kBusy must render for logs and clients that print message text.
+  EXPECT_STRNE(WireStatusName(WireStatus::kBusy), "");
+  EXPECT_NE(std::string(WireStatusName(WireStatus::kBusy)),
+            std::string(WireStatusName(WireStatus::kShuttingDown)));
 }
 
 TEST(ProtocolRoundtrip, SessionStatePendingQuestion) {
@@ -113,10 +134,12 @@ TEST(ProtocolRoundtrip, SessionStatePendingQuestion) {
   msg.question = 13;
   msg.verify_set = kNoSet;
   msg.questions_asked = 4;
+  msg.token = 0xabcdef0123456789ull;
   FrameDecoder decoder;
   Frame frame = DecodeOne(decoder, Encode(msg));
   SessionStateMsg decoded;
   ASSERT_TRUE(Decode(frame.body, &decoded));
+  EXPECT_EQ(decoded.token, msg.token);
   EXPECT_EQ(decoded.session_id, 77u);
   EXPECT_EQ(decoded.state, SessionState::kAwaitingAnswer);
   EXPECT_EQ(decoded.question, 13u);
@@ -389,13 +412,20 @@ TEST(PayloadDecoding, MalformedBodiesAreRejected) {
     VerifyMsg decoded;
     EXPECT_FALSE(Decode(frame.body, &decoded));
   }
+  {
+    FrameDecoder decoder;
+    Frame frame = DecodeOne(decoder, Encode(CreateSessionMsg{}));
+    frame.body[4] = 2;  // want_token is a bool byte
+    CreateSessionMsg decoded;
+    EXPECT_FALSE(Decode(frame.body, &decoded));
+  }
   // Truncated and padded bodies.
   {
     FrameDecoder decoder;
     Frame frame =
         DecodeOne(decoder, Encode(MsgType::kGetSession, SessionRefMsg{1}));
     SessionRefMsg decoded;
-    EXPECT_FALSE(Decode(frame.body.substr(0, 7), &decoded));
+    EXPECT_FALSE(Decode(frame.body.substr(0, 15), &decoded));
     EXPECT_FALSE(Decode(frame.body + "x", &decoded));
     EXPECT_TRUE(Decode(frame.body, &decoded));
   }
@@ -430,10 +460,10 @@ TEST(PayloadPrimitives, ReaderIsBoundsCheckedAndExact) {
 }
 
 // ---------------------------------------------------------------------------
-// StatsReply extensibility (the version-0 / rich-v1 compatibility matrix)
+// StatsReply: one layout — counters, histograms, scalars, registry, exemplars
 // ---------------------------------------------------------------------------
 
-StatsReplyMsg RichStats() {
+StatsReplyMsg SampleStats() {
   StatsReplyMsg msg;
   msg.active_sessions = 5;
   msg.created_sessions = 1000;
@@ -441,7 +471,6 @@ StatsReplyMsg RichStats() {
   msg.connections_total = 9;
   msg.frames_received = 123;
   msg.frames_sent = 456;
-  msg.has_rich = true;
   msg.step_latency = {1000, 5000000, 4000, 4800, 4990, 4999};
   msg.pool_queue_wait = {200, 80000, 300, 700, 900, 950};
   msg.pool_queue_depth = 4;
@@ -458,111 +487,6 @@ StatsReplyMsg RichStats() {
       {"setdisc_steps_total{kind=\"answer\"}", 940},
       {"setdisc_net_bytes_read_total", 1u << 20},
   };
-  return msg;
-}
-
-std::string BodyOf(const std::string& frame_bytes) {
-  return frame_bytes.substr(kFrameHeaderBytes);
-}
-
-TEST(StatsReplyCompat, RichSectionRoundTrips) {
-  const std::string body = BodyOf(Encode(RichStats()));
-  StatsReplyMsg decoded;
-  ASSERT_TRUE(Decode(body, &decoded));
-  ASSERT_TRUE(decoded.has_rich);
-  EXPECT_EQ(decoded.rich_version, 1);
-  EXPECT_EQ(decoded.active_sessions, 5u);
-  EXPECT_EQ(decoded.step_latency.count, 1000u);
-  EXPECT_EQ(decoded.step_latency.sum, 5000000u);
-  EXPECT_EQ(decoded.step_latency.p50, 4000u);
-  EXPECT_EQ(decoded.step_latency.p999, 4999u);
-  EXPECT_EQ(decoded.pool_queue_wait.p99, 900u);
-  EXPECT_EQ(decoded.pool_queue_depth, 4u);
-  EXPECT_EQ(decoded.cache_lookups, 5000u);
-  EXPECT_EQ(decoded.cache_hits, 4100u);
-  EXPECT_EQ(decoded.delta_full, 70u);
-  EXPECT_EQ(decoded.delta_delta, 800u);
-  EXPECT_EQ(decoded.delta_reemit, 130u);
-  EXPECT_EQ(decoded.klp_candidates, 90000u);
-  EXPECT_EQ(decoded.klp_evaluated, 20000u);
-  EXPECT_EQ(decoded.klp_pruned, 70000u);
-  ASSERT_EQ(decoded.registry.size(), 3u);
-  EXPECT_EQ(decoded.registry[1].first,
-            "setdisc_steps_total{kind=\"answer\"}");
-  EXPECT_EQ(decoded.registry[1].second, 940u);
-}
-
-TEST(StatsReplyCompat, LegacyBodyIsExactAndDecodes) {
-  // An old server's reply is exactly the six u64s. A new client must see
-  // has_rich == false; and the has_rich=false encoding must be byte-exact
-  // legacy so old clients keep accepting new untraced servers.
-  StatsReplyMsg legacy = RichStats();
-  legacy.has_rich = false;
-  const std::string body = BodyOf(Encode(legacy));
-  EXPECT_EQ(body.size(), 6 * sizeof(uint64_t));
-
-  StatsReplyMsg decoded;
-  decoded.has_rich = true;  // must be overwritten
-  ASSERT_TRUE(Decode(body, &decoded));
-  EXPECT_FALSE(decoded.has_rich);
-  EXPECT_EQ(decoded.created_sessions, 1000u);
-  EXPECT_EQ(decoded.frames_sent, 456u);
-  EXPECT_TRUE(decoded.registry.empty());
-}
-
-TEST(StatsReplyCompat, LongerThanKnownBodiesAreTolerated) {
-  // A future server appends bytes after the v1 layout; this build must
-  // parse what it knows and ignore the rest.
-  std::string body = BodyOf(Encode(RichStats()));
-  body += std::string("\x01\x02\x03\x04\x05", 5);
-  StatsReplyMsg decoded;
-  ASSERT_TRUE(Decode(body, &decoded));
-  EXPECT_TRUE(decoded.has_rich);
-  EXPECT_EQ(decoded.step_latency.p99, 4990u);
-  ASSERT_EQ(decoded.registry.size(), 3u);
-}
-
-TEST(StatsReplyCompat, TruncationAnywhereInsideIsRejected) {
-  const std::string full = BodyOf(Encode(RichStats()));
-  StatsReplyMsg decoded;
-  // Shorter than even the legacy prefix.
-  EXPECT_FALSE(Decode(full.substr(0, 47), &decoded));
-  // Cut inside the rich section at several depths: right after the version
-  // byte, inside the histograms, inside the scalar block, and inside the
-  // registry dump. All must reject, not silently degrade.
-  for (size_t cut : {49ul, 60ul, 100ul, 160ul, full.size() - 1}) {
-    ASSERT_LT(cut, full.size());
-    EXPECT_FALSE(Decode(full.substr(0, cut), &decoded)) << "cut=" << cut;
-  }
-}
-
-TEST(StatsReplyCompat, RichVersionZeroIsRejected) {
-  std::string body = BodyOf(Encode(RichStats()));
-  body[6 * sizeof(uint64_t)] = '\x00';  // version byte
-  StatsReplyMsg decoded;
-  EXPECT_FALSE(Decode(body, &decoded));
-}
-
-TEST(StatsReplyCompat, RegistryDumpIsCappedAtEncode) {
-  StatsReplyMsg msg = RichStats();
-  msg.registry.clear();
-  for (uint32_t i = 0; i < kMaxWireRegistryEntries + 50; ++i) {
-    msg.registry.emplace_back("metric_" + std::to_string(i), i);
-  }
-  StatsReplyMsg decoded;
-  ASSERT_TRUE(Decode(BodyOf(Encode(msg)), &decoded));
-  EXPECT_EQ(decoded.registry.size(), size_t{kMaxWireRegistryEntries});
-  EXPECT_EQ(decoded.registry[0].first, "metric_0");
-}
-
-// ---------------------------------------------------------------------------
-// StatsReply v2: the slow-step exemplar section
-// ---------------------------------------------------------------------------
-
-StatsReplyMsg RichStatsV2() {
-  StatsReplyMsg msg = RichStats();
-  msg.rich_version = 2;
-  msg.has_exemplars = true;
   WireExemplar ex;
   ex.trace_hi = 0x1111222233334444ull;
   ex.trace_lo = 0x5555666677778888ull;
@@ -583,12 +507,35 @@ StatsReplyMsg RichStatsV2() {
   return msg;
 }
 
-TEST(StatsReplyCompat, ExemplarSectionRoundTrips) {
+std::string BodyOf(const std::string& frame_bytes) {
+  return frame_bytes.substr(kFrameHeaderBytes);
+}
+
+TEST(StatsReply, EveryFieldRoundTrips) {
   StatsReplyMsg decoded;
-  ASSERT_TRUE(Decode(BodyOf(Encode(RichStatsV2())), &decoded));
-  ASSERT_TRUE(decoded.has_rich);
-  EXPECT_EQ(decoded.rich_version, 2);
-  ASSERT_TRUE(decoded.has_exemplars);
+  ASSERT_TRUE(Decode(BodyOf(Encode(SampleStats())), &decoded));
+  EXPECT_EQ(decoded.active_sessions, 5u);
+  EXPECT_EQ(decoded.created_sessions, 1000u);
+  EXPECT_EQ(decoded.frames_sent, 456u);
+  EXPECT_EQ(decoded.step_latency.count, 1000u);
+  EXPECT_EQ(decoded.step_latency.sum, 5000000u);
+  EXPECT_EQ(decoded.step_latency.p50, 4000u);
+  EXPECT_EQ(decoded.step_latency.p999, 4999u);
+  EXPECT_EQ(decoded.pool_queue_wait.p99, 900u);
+  EXPECT_EQ(decoded.pool_queue_depth, 4u);
+  EXPECT_EQ(decoded.cache_lookups, 5000u);
+  EXPECT_EQ(decoded.cache_hits, 4100u);
+  EXPECT_EQ(decoded.delta_full, 70u);
+  EXPECT_EQ(decoded.delta_delta, 800u);
+  EXPECT_EQ(decoded.delta_reemit, 130u);
+  EXPECT_EQ(decoded.klp_candidates, 90000u);
+  EXPECT_EQ(decoded.klp_evaluated, 20000u);
+  EXPECT_EQ(decoded.klp_pruned, 70000u);
+  ASSERT_EQ(decoded.registry.size(), 3u);
+  EXPECT_EQ(decoded.registry[1].first,
+            "setdisc_steps_total{kind=\"answer\"}");
+  EXPECT_EQ(decoded.registry[1].second, 940u);
+
   ASSERT_EQ(decoded.exemplars.size(), 2u);
   const WireExemplar& ex = decoded.exemplars[0];
   EXPECT_EQ(ex.trace_hi, 0x1111222233334444ull);
@@ -605,58 +552,36 @@ TEST(StatsReplyCompat, ExemplarSectionRoundTrips) {
   }
   EXPECT_EQ(decoded.exemplars[1].session_id, 43u);
   EXPECT_EQ(decoded.exemplars[1].kind, 1);
-  // The v1 prefix still decodes intact underneath.
-  EXPECT_EQ(decoded.step_latency.count, 1000u);
-  ASSERT_EQ(decoded.registry.size(), 3u);
-}
 
-TEST(StatsReplyCompat, V1BodyYieldsNoExemplars) {
-  // A v1 server's reply (no section): the decoder must not invent one.
-  StatsReplyMsg decoded;
-  decoded.has_exemplars = true;  // must be overwritten
-  decoded.exemplars.resize(3);
-  ASSERT_TRUE(Decode(BodyOf(Encode(RichStats())), &decoded));
-  EXPECT_EQ(decoded.rich_version, 1);
-  EXPECT_FALSE(decoded.has_exemplars);
+  // An empty section is still present: nothing slow yet.
+  StatsReplyMsg quiet = SampleStats();
+  quiet.exemplars.clear();
+  decoded.exemplars.resize(3);  // must be overwritten
+  ASSERT_TRUE(Decode(BodyOf(Encode(quiet)), &decoded));
   EXPECT_TRUE(decoded.exemplars.empty());
 }
 
-TEST(StatsReplyCompat, EmptyExemplarSectionRoundTrips) {
-  StatsReplyMsg msg = RichStatsV2();
+TEST(StatsReply, ForeignPhaseCountIsRejected) {
+  // The phase count sits right after the registry dump; a peer built with
+  // another phase set must be refused, not half-read.
+  StatsReplyMsg msg = SampleStats();
   msg.exemplars.clear();
+  std::string body = BodyOf(Encode(msg));
+  const size_t phase_byte = body.size() - 1 - sizeof(uint32_t);
+  ASSERT_EQ(static_cast<size_t>(body[phase_byte]), obs::kNumPhases);
   StatsReplyMsg decoded;
-  ASSERT_TRUE(Decode(BodyOf(Encode(msg)), &decoded));
-  EXPECT_TRUE(decoded.has_exemplars);  // section present, just empty
-  EXPECT_TRUE(decoded.exemplars.empty());
-}
-
-TEST(StatsReplyCompat, TruncationInsideExemplarSectionIsRejected) {
-  const std::string full = BodyOf(Encode(RichStatsV2()));
-  const std::string v1 = BodyOf(Encode(RichStats()));
-  ASSERT_GT(full.size(), v1.size());
-  StatsReplyMsg decoded;
-  // Cut at several depths inside the section: in the header, inside entry
-  // 0, inside entry 1's phase array, one byte short of complete.
-  for (size_t cut : {v1.size() + 1, v1.size() + 20, full.size() - 30,
-                     full.size() - 1}) {
-    EXPECT_FALSE(Decode(full.substr(0, cut), &decoded)) << "cut=" << cut;
+  for (int phases : {0, static_cast<int>(obs::kNumPhases) + 1}) {
+    body[phase_byte] = static_cast<char>(phases);
+    EXPECT_FALSE(Decode(body, &decoded)) << phases << " phases";
   }
-  ASSERT_TRUE(Decode(full, &decoded));
 }
 
-TEST(StatsReplyCompat, BytesAfterExemplarSectionAreTolerated) {
-  // The same forward-compat contract v1 gave us: a v3 server may append
-  // more after the section and a v2 decoder keeps working.
-  std::string body = BodyOf(Encode(RichStatsV2()));
-  body.append(9, '\x5a');
-  StatsReplyMsg decoded;
-  ASSERT_TRUE(Decode(body, &decoded));
-  ASSERT_TRUE(decoded.has_exemplars);
-  EXPECT_EQ(decoded.exemplars.size(), 2u);
-}
-
-TEST(StatsReplyCompat, ExemplarCountIsCappedAtEncode) {
-  StatsReplyMsg msg = RichStatsV2();
+TEST(StatsReply, RegistryAndExemplarsAreCappedAtEncode) {
+  StatsReplyMsg msg = SampleStats();
+  msg.registry.clear();
+  for (uint32_t i = 0; i < kMaxWireRegistryEntries + 50; ++i) {
+    msg.registry.emplace_back("metric_" + std::to_string(i), i);
+  }
   msg.exemplars.clear();
   for (uint32_t i = 0; i < kMaxWireExemplars + 10; ++i) {
     WireExemplar ex;
@@ -665,467 +590,17 @@ TEST(StatsReplyCompat, ExemplarCountIsCappedAtEncode) {
   }
   StatsReplyMsg decoded;
   ASSERT_TRUE(Decode(BodyOf(Encode(msg)), &decoded));
+  EXPECT_EQ(decoded.registry.size(), size_t{kMaxWireRegistryEntries});
+  EXPECT_EQ(decoded.registry[0].first, "metric_0");
   ASSERT_EQ(decoded.exemplars.size(), size_t{kMaxWireExemplars});
-  // The most recent ones survive the cap.
+  // The most recent exemplars survive the cap.
   EXPECT_EQ(decoded.exemplars.front().session_id, 10u);
   EXPECT_EQ(decoded.exemplars.back().session_id, kMaxWireExemplars + 9u);
 }
 
 // ---------------------------------------------------------------------------
-// CreateSession flags byte (optional-trailing-byte compatibility)
+// Fixed layouts: every message is exact, tokens and hints always present
 // ---------------------------------------------------------------------------
-
-TEST(CreateSessionCompat, RetiredTraceBitIsIgnored) {
-  CreateSessionMsg msg;
-  msg.initial = {1, 2, 3};
-
-  // Every flag off: the encoding is the exact pre-flags layout (u32 n +
-  // ids), so old servers accept frames from new clients.
-  const std::string off_body = BodyOf(Encode(msg));
-  EXPECT_EQ(off_body.size(), sizeof(uint32_t) * 4);
-
-  // Bit 0 once asked for a per-session trace ring. An old client still
-  // sending it gets a Create that decodes exactly like the flagless one.
-  CreateSessionMsg decoded;
-  decoded.busy_capable = true;  // must be overwritten
-  decoded.want_token = true;
-  ASSERT_TRUE(Decode(off_body + '\x01', &decoded));
-  EXPECT_EQ(decoded.initial, msg.initial);
-  EXPECT_FALSE(decoded.busy_capable);
-  EXPECT_FALSE(decoded.has_trace_id);
-  EXPECT_FALSE(decoded.want_token);
-  EXPECT_EQ(BodyOf(Encode(decoded)), off_body);
-
-  // Alongside known bits it changes nothing either.
-  ASSERT_TRUE(Decode(off_body + '\x0b', &decoded));  // bits 0, 1, 3
-  EXPECT_TRUE(decoded.busy_capable);
-  EXPECT_TRUE(decoded.want_token);
-  EXPECT_FALSE(decoded.has_trace_id);
-  EXPECT_EQ(BodyOf(Encode(decoded)), off_body + '\x0a');
-}
-
-TEST(CreateSessionCompat, UnknownFlagBitsAreIgnored) {
-  // 0x04 became the trace-context bit and 0x08 the token request, so the
-  // "future" bit moved up to 0x10 — the evolution this test exists to keep
-  // possible.
-  CreateSessionMsg msg;
-  msg.initial = {7};
-  std::string body = BodyOf(Encode(msg));
-  CreateSessionMsg decoded;
-
-  body.push_back('\x10');  // future flag only: decodes, known bits off
-  ASSERT_TRUE(Decode(body, &decoded));
-  EXPECT_FALSE(decoded.busy_capable);
-  EXPECT_FALSE(decoded.has_trace_id);
-  EXPECT_FALSE(decoded.want_token);
-
-  body.back() = '\x11';  // future flag + the retired bit 0
-  ASSERT_TRUE(Decode(body, &decoded));
-  EXPECT_FALSE(decoded.busy_capable);
-  EXPECT_FALSE(decoded.want_token);
-
-  body.push_back('\x00');  // two trailing bytes is malformed
-  EXPECT_FALSE(Decode(body, &decoded));
-}
-
-TEST(CreateSessionCompat, BusyCapableFlagMatrix) {
-  // The flags byte appears iff a bit is set (so a flagless client's bytes
-  // are untouched), and the bit decodes as sent.
-  for (bool busy : {false, true}) {
-    CreateSessionMsg msg;
-    msg.initial = {1, 2};
-    msg.busy_capable = busy;
-    std::string body = BodyOf(Encode(msg));
-    const size_t base = sizeof(uint32_t) * 3;
-    EXPECT_EQ(body.size(), busy ? base + 1 : base) << "busy=" << busy;
-    CreateSessionMsg decoded;
-    decoded.busy_capable = !busy;  // must be overwritten
-    ASSERT_TRUE(Decode(body, &decoded));
-    EXPECT_EQ(decoded.busy_capable, busy);
-    EXPECT_EQ(decoded.initial, msg.initial);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Trace-context trailer (flag bit 0x04 + 16 trailing bytes)
-// ---------------------------------------------------------------------------
-
-TEST(CreateSessionCompat, TraceContextRoundTripsAndStaysOptional) {
-  CreateSessionMsg msg;
-  msg.initial = {4, 9};
-  const std::string flagless = BodyOf(Encode(msg));
-
-  msg.has_trace_id = true;
-  msg.trace_hi = 0x1122334455667788ull;
-  msg.trace_lo = 0x99aabbccddeeff01ull;
-  const std::string traced = BodyOf(Encode(msg));
-  // Flags byte + 16 id bytes, nothing else moved.
-  EXPECT_EQ(traced.size(), flagless.size() + 1 + 16);
-  EXPECT_EQ(traced.substr(0, flagless.size()), flagless);
-
-  CreateSessionMsg decoded;
-  ASSERT_TRUE(Decode(traced, &decoded));
-  EXPECT_TRUE(decoded.has_trace_id);
-  EXPECT_EQ(decoded.trace_hi, msg.trace_hi);
-  EXPECT_EQ(decoded.trace_lo, msg.trace_lo);
-  EXPECT_FALSE(decoded.busy_capable);
-  EXPECT_EQ(decoded.initial, msg.initial);
-
-  // Without the id the encoding stays byte-exact legacy: a trace-capable
-  // client that doesn't set one is indistinguishable from an old client.
-  msg.has_trace_id = false;
-  EXPECT_EQ(BodyOf(Encode(msg)), flagless);
-}
-
-TEST(CreateSessionCompat, TraceContextComposesWithOtherFlags) {
-  CreateSessionMsg msg;
-  msg.initial = {1};
-  msg.busy_capable = true;
-  msg.has_trace_id = true;
-  msg.trace_hi = 7;
-  msg.trace_lo = 11;
-  CreateSessionMsg decoded;
-  ASSERT_TRUE(Decode(BodyOf(Encode(msg)), &decoded));
-  EXPECT_TRUE(decoded.busy_capable);
-  ASSERT_TRUE(decoded.has_trace_id);
-  EXPECT_EQ(decoded.trace_hi, 7u);
-  EXPECT_EQ(decoded.trace_lo, 11u);
-}
-
-TEST(CreateSessionCompat, TraceBitWithoutBytesIsMalformed) {
-  CreateSessionMsg msg;
-  msg.initial = {2};
-  std::string body = BodyOf(Encode(msg));
-  body.push_back('\x04');  // trace bit announced, no id follows
-  CreateSessionMsg decoded;
-  EXPECT_FALSE(Decode(body, &decoded));
-}
-
-TEST(CreateSessionCompat, TraceBytesWithoutBitAreMalformed) {
-  CreateSessionMsg msg;
-  msg.initial = {2};
-  msg.busy_capable = true;  // flags byte present, trace bit clear
-  std::string body = BodyOf(Encode(msg));
-  body.append(16, '\x00');
-  CreateSessionMsg decoded;
-  EXPECT_FALSE(Decode(body, &decoded));
-}
-
-TEST(CreateSessionCompat, TraceTruncationAnywhereInsideIsRejected) {
-  CreateSessionMsg msg;
-  msg.initial = {2};
-  msg.has_trace_id = true;
-  msg.trace_hi = 0xdeadbeefcafef00dull;
-  msg.trace_lo = 0x0123456789abcdefull;
-  const std::string full = BodyOf(Encode(msg));
-  CreateSessionMsg decoded;
-  for (size_t cut = 1; cut <= 16; ++cut) {
-    EXPECT_FALSE(Decode(full.substr(0, full.size() - cut), &decoded))
-        << "cut=" << cut;
-  }
-  ASSERT_TRUE(Decode(full, &decoded));
-  EXPECT_TRUE(decoded.has_trace_id);
-}
-
-// ---------------------------------------------------------------------------
-// Error retry-after trailer (optional-trailing-u32 compatibility)
-// ---------------------------------------------------------------------------
-
-TEST(ErrorCompat, RetryAfterRoundTripsAndStaysOptional) {
-  ErrorMsg msg{WireStatus::kBusy, "server busy"};
-
-  // Without the trailer the encoding is the exact legacy layout — what a
-  // server sends to a client that never declared busy_capable.
-  std::string legacy_body = BodyOf(Encode(msg));
-  EXPECT_EQ(legacy_body.size(), 1 + sizeof(uint32_t) + msg.message.size());
-  ErrorMsg decoded;
-  decoded.has_retry_after = true;  // must be overwritten
-  decoded.retry_after_ms = 99;
-  ASSERT_TRUE(Decode(legacy_body, &decoded));
-  EXPECT_EQ(decoded.status, WireStatus::kBusy);
-  EXPECT_EQ(decoded.message, "server busy");
-  EXPECT_FALSE(decoded.has_retry_after);
-  EXPECT_EQ(decoded.retry_after_ms, 0u);
-
-  // With the trailer: four more bytes, value round-trips — zero included
-  // (has_retry_after carries the presence, not the value).
-  for (uint32_t hint : {0u, 50u, 0xFFFFFFFFu}) {
-    msg.retry_after_ms = hint;
-    msg.has_retry_after = true;
-    std::string body = BodyOf(Encode(msg));
-    EXPECT_EQ(body.size(), legacy_body.size() + sizeof(uint32_t));
-    ASSERT_TRUE(Decode(body, &decoded));
-    EXPECT_TRUE(decoded.has_retry_after);
-    EXPECT_EQ(decoded.retry_after_ms, hint);
-  }
-}
-
-TEST(ErrorCompat, TruncationAnywhereInsideIsRejected) {
-  ErrorMsg msg{WireStatus::kBusy, "busy"};
-  msg.retry_after_ms = 125;
-  msg.has_retry_after = true;
-  const std::string body = BodyOf(Encode(msg));
-  const size_t legacy_size = body.size() - sizeof(uint32_t);
-
-  // Every strict prefix is rejected EXCEPT the one that drops exactly the
-  // four trailer bytes — that is the legacy message, and must decode.
-  for (size_t len = 0; len < body.size(); ++len) {
-    ErrorMsg decoded;
-    if (len == legacy_size) {
-      EXPECT_TRUE(Decode(body.substr(0, len), &decoded));
-      EXPECT_FALSE(decoded.has_retry_after);
-    } else {
-      EXPECT_FALSE(Decode(body.substr(0, len), &decoded))
-          << "prefix of " << len << " bytes decoded";
-    }
-  }
-
-  // Trailing garbage that is not exactly a u32 is malformed, not a future
-  // extension (1-3 extra bytes, or 5+).
-  for (size_t extra : {1u, 2u, 3u, 5u, 8u}) {
-    ErrorMsg decoded;
-    EXPECT_FALSE(Decode(body + std::string(extra, '\0'), &decoded))
-        << extra << " garbage bytes decoded";
-  }
-}
-
-TEST(ErrorCompat, BusyStatusHasAName) {
-  // kBusy must render for logs and legacy clients that print message text.
-  EXPECT_STRNE(WireStatusName(WireStatus::kBusy), "");
-  EXPECT_NE(std::string(WireStatusName(WireStatus::kBusy)),
-            std::string(WireStatusName(WireStatus::kShuttingDown)));
-}
-
-// ---------------------------------------------------------------------------
-// Session auth token trailer (flag bit 0x01 + u64, on every session op) and
-// the kResumeSession message
-// ---------------------------------------------------------------------------
-
-TEST(TokenCompat, TokenlessEncodingsAreByteIdenticalToLegacy) {
-  // The compat contract of the whole token feature: a client that never
-  // asks for tokens emits the exact pre-token bytes on every message. Each
-  // expectation pins the historical body size.
-  EXPECT_EQ(BodyOf(Encode(AnswerMsg{9, Oracle::Answer::kYes})).size(),
-            sizeof(uint64_t) + 1);
-  EXPECT_EQ(BodyOf(Encode(VerifyMsg{9, true})).size(), sizeof(uint64_t) + 1);
-  EXPECT_EQ(BodyOf(Encode(MsgType::kGetSession, SessionRefMsg{9})).size(),
-            sizeof(uint64_t));
-
-  CreateSessionMsg create;
-  create.initial = {1, 2};
-  EXPECT_EQ(BodyOf(Encode(create)).size(), sizeof(uint32_t) * 3)
-      << "want_token off must not grow CreateSession";
-
-  SessionStateMsg state;
-  state.session_id = 9;
-  state.state = SessionState::kAwaitingAnswer;
-  state.question = 3;
-  state.questions_asked = 2;
-  const size_t tokenless = BodyOf(Encode(state)).size();
-  state.has_token = true;
-  state.token = 0x1111111111111111ull;
-  EXPECT_EQ(BodyOf(Encode(state)).size(), tokenless + 1 + sizeof(uint64_t));
-}
-
-TEST(TokenCompat, AnswerVerifyAndRefRoundTripTheToken) {
-  constexpr uint64_t kToken = 0xfeedfacecafef00dull;
-
-  AnswerMsg answer{77, Oracle::Answer::kNo};
-  answer.has_token = true;
-  answer.token = kToken;
-  AnswerMsg answer_back;
-  ASSERT_TRUE(Decode(BodyOf(Encode(answer)), &answer_back));
-  EXPECT_EQ(answer_back.session_id, 77u);
-  EXPECT_EQ(answer_back.answer, Oracle::Answer::kNo);
-  EXPECT_TRUE(answer_back.has_token);
-  EXPECT_EQ(answer_back.token, kToken);
-
-  VerifyMsg verify{77, false};
-  verify.has_token = true;
-  verify.token = kToken;
-  VerifyMsg verify_back;
-  ASSERT_TRUE(Decode(BodyOf(Encode(verify)), &verify_back));
-  EXPECT_FALSE(verify_back.confirmed);
-  EXPECT_TRUE(verify_back.has_token);
-  EXPECT_EQ(verify_back.token, kToken);
-
-  SessionRefMsg ref{77};
-  ref.has_token = true;
-  ref.token = kToken;
-  SessionRefMsg ref_back;
-  ASSERT_TRUE(Decode(BodyOf(Encode(MsgType::kGetSession, ref)), &ref_back));
-  EXPECT_EQ(ref_back.session_id, 77u);
-  EXPECT_TRUE(ref_back.has_token);
-  EXPECT_EQ(ref_back.token, kToken);
-
-  // Tokenless bodies decode with has_token reset.
-  answer_back.has_token = true;
-  ASSERT_TRUE(
-      Decode(BodyOf(Encode(AnswerMsg{77, Oracle::Answer::kNo})), &answer_back));
-  EXPECT_FALSE(answer_back.has_token);
-  EXPECT_EQ(answer_back.token, 0u);
-}
-
-TEST(TokenCompat, SessionStateCarriesTokenOnlyWhenAsked) {
-  SessionStateMsg state;
-  state.session_id = 5;
-  state.state = SessionState::kAwaitingVerify;
-  state.verify_set = 2;
-  state.questions_asked = 4;
-  state.has_token = true;
-  state.token = 0xabcdef0123456789ull;
-  SessionStateMsg back;
-  ASSERT_TRUE(Decode(BodyOf(Encode(state)), &back));
-  EXPECT_TRUE(back.has_token);
-  EXPECT_EQ(back.token, state.token);
-  EXPECT_EQ(back.verify_set, state.verify_set);
-
-  // A finished state (the conditional result section) composes with the
-  // trailer — the layout a Create reply for a finished-at-birth session with
-  // want_token uses.
-  SessionStateMsg done;
-  done.session_id = 6;
-  done.state = SessionState::kFinished;
-  done.result.questions = 3;
-  done.result.total_candidates = 1;
-  done.result.candidates = {4};
-  done.result.total_transcript = 1;
-  done.result.transcript = {{2, kWireYes}};
-  done.has_token = true;
-  done.token = 0x42ull;
-  ASSERT_TRUE(Decode(BodyOf(Encode(done)), &back));
-  EXPECT_TRUE(back.has_token);
-  EXPECT_EQ(back.token, 0x42ull);
-  ASSERT_EQ(back.result.candidates.size(), 1u);
-  EXPECT_EQ(back.result.candidates[0], 4u);
-  ASSERT_EQ(back.result.transcript.size(), 1u);
-}
-
-TEST(TokenCompat, MalformedTrailersAreRejected) {
-  AnswerMsg msg{1, Oracle::Answer::kYes};
-  msg.has_token = true;
-  msg.token = 7;
-  std::string good = BodyOf(Encode(msg));
-  AnswerMsg out;
-  ASSERT_TRUE(Decode(good, &out));
-
-  // Flag bit without the token bytes: truncation, not "no token".
-  std::string bit_only = good.substr(0, good.size() - sizeof(uint64_t));
-  EXPECT_FALSE(Decode(bit_only, &out));
-
-  // Token bytes without the flag bit: garbage, not a token.
-  std::string bytes_only = good;
-  bytes_only[sizeof(uint64_t) + 1] = '\x00';  // clear the flags byte
-  EXPECT_FALSE(Decode(bytes_only, &out));
-
-  // Truncation anywhere inside the trailer is rejected.
-  for (size_t len = good.size() - sizeof(uint64_t); len < good.size(); ++len) {
-    EXPECT_FALSE(Decode(good.substr(0, len), &out)) << "length " << len;
-  }
-
-  // Extra bytes after a complete trailer are rejected.
-  EXPECT_FALSE(Decode(good + '\x00', &out));
-}
-
-TEST(TokenCompat, CreateSessionWantTokenFlagMatrix) {
-  // want_token rides in the Create flags byte and stays optional.
-  for (bool want : {false, true}) {
-    CreateSessionMsg msg;
-    msg.initial = {3};
-    msg.want_token = want;
-    std::string body = BodyOf(Encode(msg));
-    const size_t base = sizeof(uint32_t) * 2;
-    EXPECT_EQ(body.size(), want ? base + 1 : base);
-    CreateSessionMsg decoded;
-    decoded.want_token = !want;  // must be overwritten
-    ASSERT_TRUE(Decode(body, &decoded));
-    EXPECT_EQ(decoded.want_token, want);
-  }
-}
-
-TEST(TokenCompat, ResumeSessionRoundTripsAndIsExact) {
-  ResumeSessionMsg msg;
-  msg.session_id = 0x1020304050607080ull;
-  msg.token = 0x0807060504030201ull;
-  FrameDecoder decoder;
-  Frame frame = DecodeOne(decoder, Encode(msg));
-  EXPECT_EQ(frame.type, MsgType::kResumeSession);
-  ResumeSessionMsg decoded;
-  ASSERT_TRUE(Decode(frame.body, &decoded));
-  EXPECT_EQ(decoded.session_id, msg.session_id);
-  EXPECT_EQ(decoded.token, msg.token);
-
-  // The body is exactly two u64s: any truncation or padding is malformed.
-  std::string body = BodyOf(Encode(msg));
-  ASSERT_EQ(body.size(), 2 * sizeof(uint64_t));
-  for (size_t len = 0; len < body.size(); ++len) {
-    EXPECT_FALSE(Decode(body.substr(0, len), &decoded)) << "length " << len;
-  }
-  EXPECT_FALSE(Decode(body + '\x00', &decoded));
-}
-
-
-// ---------------------------------------------------------------------------
-// Seeded mutation fuzz of every message decoder
-// ---------------------------------------------------------------------------
-//
-// Each corpus body is a valid encoding; fixed-seed rounds of truncation,
-// bit flips, insertions and appends mutate it. A decoder may reject the
-// result, but whatever it accepts must re-encode to a body that decodes to
-// the same message: no field is half-read, and no accepted input carries
-// state the encoder cannot express.
-
-auto Fields(const CreateSessionMsg& m) {
-  return std::make_tuple(m.initial, m.busy_capable, m.has_trace_id,
-                         m.trace_hi, m.trace_lo, m.want_token);
-}
-auto Fields(const AnswerMsg& m) {
-  return std::make_tuple(m.session_id, m.answer, m.has_token, m.token);
-}
-auto Fields(const VerifyMsg& m) {
-  return std::make_tuple(m.session_id, m.confirmed, m.has_token, m.token);
-}
-auto Fields(const SessionRefMsg& m) {
-  return std::make_tuple(m.session_id, m.has_token, m.token);
-}
-auto Fields(const ResumeSessionMsg& m) {
-  return std::make_tuple(m.session_id, m.token);
-}
-auto Fields(const ErrorMsg& m) {
-  return std::make_tuple(m.status, m.message, m.retry_after_ms,
-                         m.has_retry_after);
-}
-auto Fields(const SessionStateMsg& m) {
-  const WireResult& r = m.result;
-  return std::make_tuple(m.session_id, m.state, m.question, m.verify_set,
-                         m.questions_asked, r.questions, r.backtracks,
-                         r.confirmed, r.halted, r.total_candidates,
-                         r.candidates, r.total_transcript, r.transcript,
-                         m.has_token, m.token);
-}
-auto Fields(const HistogramSummary& h) {
-  return std::make_tuple(h.count, h.sum, h.p50, h.p90, h.p99, h.p999);
-}
-auto Fields(const WireExemplar& e) {
-  return std::make_tuple(
-      e.trace_hi, e.trace_lo, e.session_id, e.ts_ns, e.step, e.kind,
-      e.serve_path, e.total_ns, e.queue_wait_ns,
-      std::vector<uint64_t>(std::begin(e.phase_ns), std::end(e.phase_ns)));
-}
-auto Fields(const StatsReplyMsg& m) {
-  std::vector<decltype(Fields(WireExemplar{}))> exemplars;
-  for (const WireExemplar& e : m.exemplars) exemplars.push_back(Fields(e));
-  return std::make_tuple(
-      std::make_tuple(m.active_sessions, m.created_sessions,
-                      m.connections_open, m.connections_total,
-                      m.frames_received, m.frames_sent),
-      m.has_rich, m.rich_version, Fields(m.step_latency),
-      Fields(m.pool_queue_wait),
-      std::make_tuple(m.pool_queue_depth, m.cache_lookups, m.cache_hits,
-                      m.delta_full, m.delta_delta, m.delta_reemit,
-                      m.klp_candidates, m.klp_evaluated, m.klp_pruned),
-      m.registry, m.has_exemplars, exemplars);
-}
 
 std::string EncodeBody(const SessionRefMsg& m) {
   return BodyOf(Encode(MsgType::kGetSession, m));
@@ -1134,6 +609,74 @@ template <typename Msg>
 std::string EncodeBody(const Msg& m) {
   return BodyOf(Encode(m));
 }
+
+/// `body` decodes, and so does no strict prefix of it and no padding of it.
+template <typename Msg>
+void ExpectExact(const std::string& body) {
+  Msg decoded;
+  ASSERT_TRUE(Decode(body, &decoded));
+  for (size_t len = 0; len < body.size(); ++len) {
+    EXPECT_FALSE(Decode(body.substr(0, len), &decoded))
+        << "prefix of " << len << " of " << body.size() << " bytes decoded";
+  }
+  EXPECT_FALSE(Decode(body + '\0', &decoded)) << "padding decoded";
+}
+
+TEST(FixedLayout, TokensTrailEverySessionMessage) {
+  // A tokenless message carries a zero token: the layout never changes.
+  EXPECT_EQ(EncodeBody(AnswerMsg{9, Oracle::Answer::kYes}).size(), 8 + 1 + 8u);
+  EXPECT_EQ(EncodeBody(VerifyMsg{9, true}).size(), 8 + 1 + 8u);
+  EXPECT_EQ(EncodeBody(SessionRefMsg{9}).size(), 8 + 8u);
+  EXPECT_EQ(EncodeBody(CreateSessionMsg{}).size(), 4 + 1 + 16u);
+
+  SessionStateMsg state;
+  state.session_id = 9;
+  state.state = SessionState::kAwaitingAnswer;
+  state.question = 3;
+  state.questions_asked = 2;
+  EXPECT_EQ(EncodeBody(state).size(), 8 + 1 + 4 + 4 + 4 + 8u);
+  const std::string tokenless = EncodeBody(state);
+  state.token = 0x1111111111111111ull;
+  const std::string tokened = EncodeBody(state);
+  EXPECT_EQ(tokened.size(), tokenless.size());
+  EXPECT_EQ(tokened.substr(0, tokened.size() - 8),
+            tokenless.substr(0, tokenless.size() - 8));
+}
+
+TEST(FixedLayout, EveryMessageRejectsTruncationAndPadding) {
+  CreateSessionMsg create;
+  create.initial = {2, 7};
+  create.want_token = true;
+  create.trace_hi = 0xdeadbeefcafef00dull;
+  create.trace_lo = 0x0123456789abcdefull;
+  ExpectExact<CreateSessionMsg>(EncodeBody(create));
+  ExpectExact<AnswerMsg>(EncodeBody(AnswerMsg{1, Oracle::Answer::kNo, 7}));
+  ExpectExact<VerifyMsg>(EncodeBody(VerifyMsg{1, false, 7}));
+  ExpectExact<SessionRefMsg>(EncodeBody(SessionRefMsg{1, 7}));
+  ExpectExact<ErrorMsg>(EncodeBody(ErrorMsg{WireStatus::kBusy, "busy", 125}));
+
+  SessionStateMsg done;
+  done.session_id = 6;
+  done.state = SessionState::kFinished;
+  done.result.questions = 3;
+  done.result.total_candidates = 1;
+  done.result.candidates = {4};
+  done.result.total_transcript = 1;
+  done.result.transcript = {{2, kWireYes}};
+  done.token = 0x42;
+  ExpectExact<SessionStateMsg>(EncodeBody(done));
+  ExpectExact<StatsReplyMsg>(EncodeBody(SampleStats()));
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation fuzz of every message decoder and of the frame decoder
+// ---------------------------------------------------------------------------
+//
+// Each corpus body is a valid encoding; fixed-seed rounds of truncation,
+// bit flips, insertions and appends mutate it. A decoder may reject the
+// result, but whatever it accepts must re-encode to the very same bytes: no
+// field is half-read, no byte is ignored, and no accepted input carries
+// state the encoder cannot express.
 
 std::string Mutate(std::string body, Rng& rng) {
   const int ops = 1 + static_cast<int>(rng.Uniform(3));
@@ -1152,7 +695,7 @@ std::string Mutate(std::string body, Rng& rng) {
         body.insert(body.begin() + rng.Uniform(body.size() + 1),
                     static_cast<char>(rng.Uniform(256)));
         break;
-      default:  // append up to 17 bytes (one trace id plus a flags byte)
+      default:  // append up to 17 bytes
         for (uint64_t n = 1 + rng.Uniform(17); n > 0; --n) {
           body.push_back(static_cast<char>(rng.Uniform(256)));
         }
@@ -1161,18 +704,15 @@ std::string Mutate(std::string body, Rng& rng) {
   return body;
 }
 
-/// Decodes `body`; when that succeeds, the re-encoding must decode to the
-/// same message. Returns whether `body` was accepted.
+/// Decodes `body`; when that succeeds, the re-encoding must be `body` itself.
+/// Returns whether `body` was accepted.
 template <typename Msg>
-bool AcceptsOnlyRoundTrippable(const std::string& body) {
-  Msg first;
-  if (!Decode(body, &first)) return false;
-  const std::string again = EncodeBody(first);
-  Msg second;
-  EXPECT_TRUE(Decode(again, &second)) << "re-encoding of an accepted body "
-                                      << "does not decode";
-  EXPECT_TRUE(Fields(first) == Fields(second))
-      << "accepted body does not round-trip (" << body.size() << " bytes)";
+bool AcceptsOnlyCanonical(const std::string& body) {
+  Msg decoded;
+  if (!Decode(body, &decoded)) return false;
+  EXPECT_EQ(EncodeBody(decoded), body)
+      << "accepted body does not re-encode to itself (" << body.size()
+      << " bytes)";
   return true;
 }
 
@@ -1180,10 +720,10 @@ template <typename Msg>
 void FuzzDecoder(const std::vector<std::string>& corpus, uint64_t seed) {
   Rng rng(seed);
   for (size_t i = 0; i < corpus.size(); ++i) {
-    ASSERT_TRUE(AcceptsOnlyRoundTrippable<Msg>(corpus[i]))
+    ASSERT_TRUE(AcceptsOnlyCanonical<Msg>(corpus[i]))
         << "corpus entry " << i << " is not a valid encoding";
     for (int round = 0; round < 400; ++round) {
-      AcceptsOnlyRoundTrippable<Msg>(Mutate(corpus[i], rng));
+      AcceptsOnlyCanonical<Msg>(Mutate(corpus[i], rng));
       if (::testing::Test::HasFailure()) {
         FAIL() << "corpus entry " << i << ", round " << round;
       }
@@ -1193,70 +733,52 @@ void FuzzDecoder(const std::vector<std::string>& corpus, uint64_t seed) {
 
 TEST(DecoderFuzz, CreateSession) {
   std::vector<std::string> corpus;
-  const std::vector<std::vector<EntityId>> initials = {{}, {5}, {1, 2, 3}};
-  for (const std::vector<EntityId>& initial : initials) {
-    for (int flags = 0; flags < 8; ++flags) {  // busy x trace id x token
-      CreateSessionMsg msg;
-      msg.initial = initial;
-      msg.busy_capable = (flags & 1) != 0;
-      msg.has_trace_id = (flags & 2) != 0;
-      msg.trace_hi = msg.has_trace_id ? 0x0123456789abcdefull : 0;
-      msg.trace_lo = msg.has_trace_id ? 0xfedcba9876543210ull : 0;
-      msg.want_token = (flags & 4) != 0;
-      corpus.push_back(EncodeBody(msg));
+  for (const std::vector<EntityId>& initial :
+       std::vector<std::vector<EntityId>>{{}, {5}, {1, 2, 3}}) {
+    for (bool want_token : {false, true}) {
+      for (uint64_t trace : {uint64_t{0}, uint64_t{0x0123456789abcdefull}}) {
+        corpus.push_back(
+            EncodeBody(CreateSessionMsg{initial, want_token, trace, ~trace}));
+      }
     }
-    // The retired bit 0, alone and beside every known bit.
-    CreateSessionMsg plain;
-    plain.initial = initial;
-    corpus.push_back(EncodeBody(plain) + '\x01');
-    corpus.push_back(EncodeBody(plain) + '\x0f' + std::string(16, '\x07'));
   }
   FuzzDecoder<CreateSessionMsg>(corpus, 101);
 }
 
 TEST(DecoderFuzz, SessionOps) {
-  std::vector<std::string> answers, verifies, refs, resumes;
-  for (bool token : {false, true}) {
+  std::vector<std::string> answers, verifies, refs;
+  for (uint64_t token : {uint64_t{0}, uint64_t{0x5151515151515151ull}}) {
     for (Oracle::Answer a : {Oracle::Answer::kYes, Oracle::Answer::kNo,
                              Oracle::Answer::kDontKnow}) {
-      answers.push_back(EncodeBody(AnswerMsg{77, a, token, token ? 9u : 0u}));
+      answers.push_back(EncodeBody(AnswerMsg{77, a, token}));
     }
     for (bool confirmed : {false, true}) {
-      verifies.push_back(
-          EncodeBody(VerifyMsg{78, confirmed, token, token ? 9u : 0u}));
+      verifies.push_back(EncodeBody(VerifyMsg{78, confirmed, token}));
     }
-    refs.push_back(EncodeBody(SessionRefMsg{79, token, token ? 9u : 0u}));
+    refs.push_back(EncodeBody(SessionRefMsg{79, token}));
   }
-  resumes.push_back(EncodeBody(ResumeSessionMsg{80, 0x5151515151515151ull}));
   FuzzDecoder<AnswerMsg>(answers, 102);
   FuzzDecoder<VerifyMsg>(verifies, 103);
   FuzzDecoder<SessionRefMsg>(refs, 104);
-  FuzzDecoder<ResumeSessionMsg>(resumes, 105);
 }
 
 TEST(DecoderFuzz, Error) {
-  std::vector<std::string> corpus;
-  corpus.push_back(EncodeBody(ErrorMsg{WireStatus::kNotFound, "gone"}));
-  corpus.push_back(EncodeBody(ErrorMsg{WireStatus::kInternal, ""}));
-  for (uint32_t retry : {0u, 250u}) {
-    ErrorMsg busy{WireStatus::kBusy, "server busy"};
-    busy.retry_after_ms = retry;
-    busy.has_retry_after = true;
-    corpus.push_back(EncodeBody(busy));
-  }
-  FuzzDecoder<ErrorMsg>(corpus, 106);
+  FuzzDecoder<ErrorMsg>(
+      {EncodeBody(ErrorMsg{WireStatus::kNotFound, "gone"}),
+       EncodeBody(ErrorMsg{WireStatus::kInternal, ""}),
+       EncodeBody(ErrorMsg{WireStatus::kBusy, "server busy", 250})},
+      106);
 }
 
 TEST(DecoderFuzz, SessionState) {
   std::vector<std::string> corpus;
-  for (bool token : {false, true}) {
+  for (uint64_t token : {uint64_t{0}, uint64_t{0x42}}) {
     SessionStateMsg question;
     question.session_id = 3;
     question.state = SessionState::kAwaitingAnswer;
     question.question = 11;
     question.questions_asked = 2;
-    question.has_token = token;
-    question.token = token ? 0x42 : 0;
+    question.token = token;
     corpus.push_back(EncodeBody(question));
 
     SessionStateMsg verify = question;
@@ -1286,20 +808,99 @@ TEST(DecoderFuzz, SessionState) {
 }
 
 TEST(DecoderFuzz, StatsReply) {
-  std::vector<std::string> corpus;
-  StatsReplyMsg legacy = RichStats();
-  legacy.has_rich = false;
-  corpus.push_back(EncodeBody(legacy));
-  corpus.push_back(EncodeBody(RichStats()));
-  corpus.push_back(EncodeBody(RichStatsV2()));
-  StatsReplyMsg none = RichStatsV2();
-  none.exemplars.clear();
-  corpus.push_back(EncodeBody(none));
-  // A newer server's body: a later rich version with bytes appended.
-  StatsReplyMsg newer = RichStatsV2();
-  newer.rich_version = 3;
-  corpus.push_back(EncodeBody(newer) + std::string(5, '\x33'));
-  FuzzDecoder<StatsReplyMsg>(corpus, 108);
+  StatsReplyMsg quiet = SampleStats();
+  quiet.exemplars.clear();
+  quiet.registry.clear();
+  FuzzDecoder<StatsReplyMsg>({EncodeBody(SampleStats()), EncodeBody(quiet),
+                              EncodeBody(StatsReplyMsg{})},
+                             108);
+}
+
+TEST(DecoderFuzz, FrameHeaders) {
+  // A stream of valid frames whose 8-byte headers are mutated, fed at random
+  // fragmentation. The decoder must pop exactly the bytes each header
+  // announces — every frame before the first mutation unchanged — never a
+  // body over max_body, and poison itself on the first header it must refuse.
+  constexpr size_t kMaxBody = 64;
+  CreateSessionMsg create;
+  create.initial = {1, 2};
+  const std::vector<std::string> frames = {
+      Encode(create),
+      Encode(AnswerMsg{1, Oracle::Answer::kYes, 2}),
+      EncodeStatsRequest(),
+      Encode(ErrorMsg{WireStatus::kBusy, "busy", 9}),
+      Encode(MsgType::kCloseSession, SessionRefMsg{3, 4}),
+      Encode(VerifyMsg{5, true, 6}),
+  };
+  std::string clean;
+  std::vector<size_t> starts;
+  for (const std::string& f : frames) {
+    ASSERT_LE(f.size() - kFrameHeaderBytes, kMaxBody);
+    starts.push_back(clean.size());
+    clean += f;
+  }
+  Rng rng(109);
+  for (int round = 0; round < 2000; ++round) {
+    std::string stream = clean;
+    size_t first_mutation = stream.size();
+    for (int m = 1 + static_cast<int>(rng.Uniform(3)); m > 0; --m) {
+      const size_t at =
+          starts[rng.Uniform(starts.size())] + rng.Uniform(kFrameHeaderBytes);
+      stream[at] = rng.Bernoulli(0.5)
+                       ? static_cast<char>(stream[at] ^ (1u << rng.Uniform(8)))
+                       : static_cast<char>(rng.Uniform(256));
+      first_mutation = std::min(first_mutation, at);
+    }
+    FrameDecoder decoder(kMaxBody);
+    size_t consumed = 0;
+    bool poisoned = false;
+    WireStatus poison = WireStatus::kOk;
+    for (size_t pos = 0; pos < stream.size() && !poisoned;) {
+      const size_t chunk =
+          std::min<size_t>(1 + rng.Uniform(23), stream.size() - pos);
+      decoder.Feed(stream.data() + pos, chunk);
+      pos += chunk;
+      Frame out;
+      WireStatus error = WireStatus::kOk;
+      FrameDecoder::Next next;
+      while ((next = decoder.Pop(&out, &error)) == FrameDecoder::Next::kFrame) {
+        ASSERT_LE(out.body.size(), kMaxBody) << "round " << round;
+        const std::string again = EncodeFrame(out.type, out.body);
+        ASSERT_EQ(again, stream.substr(consumed, again.size()))
+            << "round " << round << ": popped bytes differ from the stream";
+        consumed += again.size();
+      }
+      if (next == FrameDecoder::Next::kError) {
+        poisoned = true;
+        poison = error;
+        ASSERT_TRUE(error == WireStatus::kBadVersion ||
+                    error == WireStatus::kMalformed ||
+                    error == WireStatus::kOversized)
+            << "round " << round << ": " << WireStatusName(error);
+        // The refused header really is bad: the decoder did not reject a
+        // frame it should have delivered.
+        ASSERT_LE(consumed + kFrameHeaderBytes, stream.size());
+        ASSERT_GE(consumed + kFrameHeaderBytes, first_mutation + 1)
+            << "round " << round << ": refused an untouched header";
+      }
+    }
+    // Every frame that lies wholly before the first mutated byte came out.
+    for (size_t i = 0; i < starts.size(); ++i) {
+      if (starts[i] + frames[i].size() <= first_mutation) {
+        EXPECT_GE(consumed, starts[i] + frames[i].size()) << "round " << round;
+      }
+    }
+    if (poisoned) {
+      const size_t held = decoder.buffered();
+      decoder.Feed(clean);
+      ASSERT_EQ(decoder.buffered(), held) << "round " << round;
+      Frame out;
+      WireStatus again = WireStatus::kOk;
+      ASSERT_EQ(decoder.Pop(&out, &again), FrameDecoder::Next::kError);
+      ASSERT_EQ(again, poison) << "round " << round;
+    }
+    if (::testing::Test::HasFailure()) FAIL() << "round " << round;
+  }
 }
 
 }  // namespace

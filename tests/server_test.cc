@@ -313,16 +313,33 @@ TEST(DiscoveryServer, GarbageBytesGetAnErrorFrameThenClose) {
   SessionManager manager(c, idx, ManagerOptions());
   auto server = StartServer(manager);
 
-  RawConn conn(server->port());
-  conn.Send("GET / HTTP/1.1\r\nHost: wrong-protocol\r\n\r\n");
-  Frame frame;
-  ASSERT_EQ(conn.ReadFrame(&frame), FrameDecoder::Next::kFrame);
-  ASSERT_EQ(frame.type, MsgType::kError);
-  ErrorMsg error;
-  ASSERT_TRUE(Decode(frame.body, &error));
-  EXPECT_EQ(error.status, WireStatus::kBadVersion);  // 'G' is not version 1
-  EXPECT_TRUE(conn.WaitForEof());
-  EXPECT_EQ(server->stats().protocol_errors, 1u);
+  // A version-1 CreateSession (empty initial set) is as foreign as HTTP: the
+  // header's version byte alone refuses it, whatever its body says.
+  std::string v1_create;
+  PayloadWriter w(&v1_create);
+  w.PutU32(sizeof(uint32_t));
+  w.PutU8(1);
+  w.PutU8(static_cast<uint8_t>(MsgType::kCreateSession));
+  w.PutU16(0);
+  w.PutU32(0);
+  const std::string inputs[] = {
+      "GET / HTTP/1.1\r\nHost: wrong-protocol\r\n\r\n",  // 'G' = 0x47
+      v1_create,
+  };
+  uint64_t errors = 0;
+  for (const std::string& input : inputs) {
+    RawConn conn(server->port());
+    conn.Send(input);
+    Frame frame;
+    ASSERT_EQ(conn.ReadFrame(&frame), FrameDecoder::Next::kFrame);
+    ASSERT_EQ(frame.type, MsgType::kError);
+    ErrorMsg error;
+    ASSERT_TRUE(Decode(frame.body, &error));
+    EXPECT_EQ(error.status, WireStatus::kBadVersion);
+    EXPECT_TRUE(conn.WaitForEof());
+    EXPECT_EQ(server->stats().protocol_errors, ++errors);
+  }
+  EXPECT_EQ(manager.num_created(), 0u);
 }
 
 TEST(DiscoveryServer, OversizedFrameIsRefusedBeforeItsBodyArrives) {
@@ -384,41 +401,6 @@ TEST(DiscoveryServer, MalformedPayloadAndUnknownTypeCloseTheConnection) {
     EXPECT_EQ(error.status, WireStatus::kBadType) << "type " << int{type};
     EXPECT_TRUE(conn.WaitForEof());
   }
-}
-
-TEST(DiscoveryServer, RetiredTraceBitCreatesAPlainSession) {
-  // Create flag bit 0 once asked for a per-session trace ring; an old
-  // client still setting it is served exactly like a flagless Create.
-  SetCollection c = MakePaperCollection();
-  InvertedIndex idx(c);
-  SessionManager manager(c, idx, ManagerOptions());
-  auto server = StartServer(manager);
-
-  RawConn conn(server->port());
-  const std::string flagless = Encode(CreateSessionMsg{});
-  conn.Send(flagless);
-  conn.Send(EncodeFrame(MsgType::kCreateSession,
-                        flagless.substr(kFrameHeaderBytes) + '\x01'));
-  SessionStateMsg plain, flagged;
-  for (SessionStateMsg* reply : {&plain, &flagged}) {
-    Frame frame;
-    ASSERT_EQ(conn.ReadFrame(&frame), FrameDecoder::Next::kFrame);
-    ASSERT_EQ(frame.type, MsgType::kSessionState);
-    ASSERT_TRUE(Decode(frame.body, reply));
-  }
-  EXPECT_NE(flagged.session_id, plain.session_id);
-  EXPECT_EQ(flagged.state, plain.state);
-  EXPECT_EQ(flagged.question, plain.question);
-  EXPECT_EQ(flagged.questions_asked, plain.questions_asked);
-  EXPECT_FALSE(flagged.has_token);
-
-  // The session is live and steps like any other.
-  SimulatedOracle oracle(&c, /*target=*/5);
-  conn.Send(Encode(AnswerMsg{flagged.session_id,
-                             oracle.AskMembership(flagged.question)}));
-  Frame frame;
-  ASSERT_EQ(conn.ReadFrame(&frame), FrameDecoder::Next::kFrame);
-  EXPECT_EQ(frame.type, MsgType::kSessionState);
 }
 
 TEST(DiscoveryServer, HalfClosingClientStillGetsItsReplies) {
@@ -519,10 +501,12 @@ TEST(DiscoveryServer, PipelinedRequestsAreAnsweredInOrder) {
   auto server = StartServer(manager);
 
   RawConn conn(server->port());
-  // One write, three requests: Create (pool-offloaded), Stats (inline),
-  // Create again. Replies must come back in exactly this order.
+  // One write, three requests: Create with a token (pool-offloaded), Stats
+  // (inline), tokenless Create. Replies must come back in exactly this order.
   CreateSessionMsg create;
-  conn.Send(Encode(create) + EncodeStatsRequest() + Encode(create));
+  create.want_token = true;
+  conn.Send(Encode(create) + EncodeStatsRequest() +
+            Encode(CreateSessionMsg{}));
   Frame frame;
   ASSERT_EQ(conn.ReadFrame(&frame), FrameDecoder::Next::kFrame);
   EXPECT_EQ(frame.type, MsgType::kSessionState);
@@ -535,6 +519,36 @@ TEST(DiscoveryServer, PipelinedRequestsAreAnsweredInOrder) {
   SessionStateMsg second;
   ASSERT_TRUE(Decode(frame.body, &second));
   EXPECT_LT(first.session_id, second.session_id);
+
+  // The token is on the wire exactly once: in the reply to the want_token
+  // Create. Answer, Get and Resume replies, the Closed ack, and every reply
+  // on the tokenless session carry 0.
+  ASSERT_NE(first.token, 0u);
+  EXPECT_EQ(second.token, 0u);
+  ASSERT_EQ(first.state, SessionState::kAwaitingAnswer);
+  ASSERT_EQ(second.state, SessionState::kAwaitingAnswer);
+  const uint64_t token = first.token;
+  const SessionRefMsg ref{first.session_id, token};
+  conn.Send(Encode(AnswerMsg{first.session_id, Oracle::Answer::kYes, token}) +
+            Encode(MsgType::kGetSession, ref) +
+            Encode(MsgType::kResumeSession, ref) +
+            Encode(AnswerMsg{second.session_id, Oracle::Answer::kNo}) +
+            Encode(MsgType::kGetSession, SessionRefMsg{second.session_id}));
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_EQ(conn.ReadFrame(&frame), FrameDecoder::Next::kFrame) << i;
+    ASSERT_EQ(frame.type, MsgType::kSessionState) << i;
+    SessionStateMsg reply;
+    ASSERT_TRUE(Decode(frame.body, &reply)) << i;
+    EXPECT_EQ(reply.session_id, i < 3 ? first.session_id : second.session_id);
+    EXPECT_EQ(reply.token, 0u) << "reply " << i;
+  }
+  conn.Send(Encode(MsgType::kCloseSession, ref));
+  ASSERT_EQ(conn.ReadFrame(&frame), FrameDecoder::Next::kFrame);
+  ASSERT_EQ(frame.type, MsgType::kClosed);
+  SessionRefMsg closed;
+  ASSERT_TRUE(Decode(frame.body, &closed));
+  EXPECT_EQ(closed.session_id, first.session_id);
+  EXPECT_EQ(closed.token, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -758,7 +772,7 @@ TEST(DiscoveryServer, StatsReplyTracksTraffic) {
 }
 
 // ---------------------------------------------------------------------------
-// Rich stats and per-session traces over the wire
+// Stats over the wire
 // ---------------------------------------------------------------------------
 
 TEST(DiscoveryServer, OneStatsRoundTripCarriesTheWholeServingPicture) {
@@ -788,8 +802,6 @@ TEST(DiscoveryServer, OneStatsRoundTripCarriesTheWholeServingPicture) {
   // the cache hit rate, the delta serve-path mix, and the pool queue depth.
   StatsReplyMsg stats;
   ASSERT_TRUE(client.GetStats(&stats).ok());
-  ASSERT_TRUE(stats.has_rich);
-  EXPECT_EQ(stats.rich_version, 2);
   EXPECT_GT(stats.step_latency.count, 0u);
   EXPECT_GT(stats.step_latency.p50, 0u);
   EXPECT_GE(stats.step_latency.p99, stats.step_latency.p50);
@@ -942,9 +954,6 @@ TEST(DiscoveryServer, SlowStepThresholdShipsExemplarsInStats) {
 
   StatsReplyMsg stats;
   ASSERT_TRUE(client.GetStats(&stats).ok());
-  ASSERT_TRUE(stats.has_rich);
-  EXPECT_EQ(stats.rich_version, 2);
-  ASSERT_TRUE(stats.has_exemplars);
   ASSERT_FALSE(stats.exemplars.empty());
   // At least one exemplar belongs to this conversation's auto-minted trace.
   bool found = false;
