@@ -326,8 +326,7 @@ Status DiscoveryServer::Start() {
 
   stop_requested_.store(false);
   running_.store(true, std::memory_order_release);
-  obs::FlightRecorder::Global().Record(obs::FlightEventKind::kServerStart,
-                                       port_, metrics_port_);
+  obs::RecordEvent(obs::FlightEventKind::kServerStart, port_, metrics_port_);
   loop_thread_ = std::thread(&DiscoveryServer::Loop, this);
   return Status::OK();
 }
@@ -495,9 +494,8 @@ struct LoopCtx {
     if (drop_queued) conn.pending.clear();
     if (conn.closing) return;
     Bump(&ServerStats::protocol_errors);
-    obs::FlightRecorder::Global().Record(
-        obs::FlightEventKind::kProtocolError, static_cast<int64_t>(status),
-        static_cast<int64_t>(conn.id), WireStatusName(status));
+    obs::RecordEvent(obs::FlightEventKind::kProtocolError,
+                     static_cast<uint64_t>(status), conn.id);
     conn.closing = true;
     conn.deferred_error = Encode(ErrorMsg{status, WireStatusName(status)});
   }
@@ -1042,9 +1040,7 @@ struct LoopCtx {
   void BeginDrain() {
     im.draining = true;
     im.drain_deadline = Clock::now() + options.drain_timeout;
-    obs::FlightRecorder::Global().Record(
-        obs::FlightEventKind::kServerDrain,
-        static_cast<int64_t>(im.by_fd.size()));
+    obs::RecordEvent(obs::FlightEventKind::kServerDrain, im.by_fd.size());
     if (im.listener.valid()) {
       im.poller->Remove(im.listener.get());
       im.listener.Reset();
@@ -1156,8 +1152,7 @@ void DiscoveryServer::Loop() {
     im.poller->Remove(im.metrics_listener.get());
     im.metrics_listener.Reset();
   }
-  obs::FlightRecorder::Global().Record(obs::FlightEventKind::kServerStop,
-                                       port_);
+  obs::RecordEvent(obs::FlightEventKind::kServerStop, port_);
 }
 
 }  // namespace setdisc::net

@@ -10,7 +10,7 @@
 namespace setdisc::obs {
 
 // ---------------------------------------------------------------------------
-// FlightRecorder
+// Events
 // ---------------------------------------------------------------------------
 
 const char* FlightEventKindName(FlightEventKind kind) {
@@ -19,9 +19,9 @@ const char* FlightEventKindName(FlightEventKind kind) {
     case FlightEventKind::kServerDrain: return "server_drain";
     case FlightEventKind::kServerStop: return "server_stop";
     case FlightEventKind::kProtocolError: return "protocol_error";
-    case FlightEventKind::kAdmissionReject: return "admission_reject";
-    case FlightEventKind::kAdmissionClosed: return "admission_closed";
-    case FlightEventKind::kAdmissionResumed: return "admission_resumed";
+    case FlightEventKind::kAdmitReject: return "admit_reject";
+    case FlightEventKind::kAdmitClosed: return "admit_closed";
+    case FlightEventKind::kAdmitResumed: return "admit_resumed";
     case FlightEventKind::kEffortDegrade: return "effort_degrade";
     case FlightEventKind::kEffortRecover: return "effort_recover";
     case FlightEventKind::kPressureReap: return "pressure_reap";
@@ -31,94 +31,24 @@ const char* FlightEventKindName(FlightEventKind kind) {
     case FlightEventKind::kSessionSpilled: return "session_spilled";
     case FlightEventKind::kSessionResumed: return "session_resumed";
     case FlightEventKind::kStoreDegraded: return "store_degraded";
-    case FlightEventKind::kCustom: return "custom";
   }
-  return "custom";
+  return "unknown";
 }
 
-FlightRecorder::FlightRecorder(size_t capacity)
-    : ring_(std::max<size_t>(capacity, 1)) {}
-
-FlightRecorder& FlightRecorder::Global() {
-  static FlightRecorder* recorder = new FlightRecorder(1024);
-  return *recorder;
+JourneyRing& Events() {
+  static JourneyRing* ring = new JourneyRing(1024);
+  return *ring;
 }
 
-void FlightRecorder::Record(FlightEventKind kind, int64_t a, int64_t b,
-                            std::string_view detail) {
-  FlightEvent ev;
-  ev.ts_ns = NowNanos();
-  ev.kind = kind;
-  ev.a = a;
-  ev.b = b;
-  const size_t dn = std::min(detail.size(), sizeof(ev.detail) - 1);
-  if (dn != 0) std::memcpy(ev.detail, detail.data(), dn);
-  ev.detail[dn] = '\0';
-  // Pre-render the crash-tail line now, where snprintf is safe.
-  std::snprintf(ev.text, sizeof(ev.text), "+%llu.%03llus %s a=%lld b=%lld %s\n",
-                static_cast<unsigned long long>(ev.ts_ns / 1000000000ULL),
-                static_cast<unsigned long long>((ev.ts_ns / 1000000ULL) % 1000),
-                FlightEventKindName(kind), static_cast<long long>(a),
-                static_cast<long long>(b), ev.detail);
-  std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t ticket = total_.fetch_add(1, std::memory_order_relaxed);
-  ring_[ticket % ring_.size()] = ev;
-}
-
-std::vector<FlightEvent> FlightRecorder::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t n = total_.load(std::memory_order_relaxed);
-  const size_t cap = ring_.size();
-  const uint64_t count = std::min<uint64_t>(n, cap);
-  std::vector<FlightEvent> out;
-  out.reserve(count);
-  for (uint64_t i = n - count; i < n; ++i) out.push_back(ring_[i % cap]);
-  return out;
-}
-
-void FlightRecorder::DumpTail(int fd, size_t max_events) const {
-  // Deliberately lock-free: this runs from a fatal-signal handler. The
-  // ring_ vector never reallocates after construction, so indexing is safe;
-  // a line being overwritten right now may print garbled — fine in a crash.
-  const uint64_t n = total_.load(std::memory_order_relaxed);
-  const size_t cap = ring_.size();
-  const uint64_t count = std::min<uint64_t>(std::min<uint64_t>(n, cap),
-                                            max_events);
-  for (uint64_t i = n - count; i < n; ++i) {
-    const char* line = ring_[i % cap].text;
-    size_t len = 0;
-    while (len < sizeof(FlightEvent{}.text) && line[len] != '\0') ++len;
-    ssize_t ignored = ::write(fd, line, len);
-    (void)ignored;
-  }
-}
-
-std::string FlightChromeJson() {
-  const std::vector<FlightEvent> events = FlightRecorder::Global().Snapshot();
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  char buf[192];
-  for (const FlightEvent& ev : events) {
-    if (!first) out += ",";
-    first = false;
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1,"
-                  "\"tid\":0,\"ts\":%.3f,\"args\":{\"a\":%lld,\"b\":%lld}}",
-                  FlightEventKindName(ev.kind),
-                  static_cast<double>(ev.ts_ns) / 1000.0,
-                  static_cast<long long>(ev.a), static_cast<long long>(ev.b));
-    out += buf;
-  }
-  out += "]}";
-  return out;
-}
-
-bool WriteFlightDump(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = FlightChromeJson();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return (std::fclose(f) == 0) && ok;
+void RecordEvent(FlightEventKind kind, uint64_t a, uint64_t b,
+                 std::string_view detail) {
+  Span span;
+  span.start_ns = NowNanos();
+  span.SetName(FlightEventKindName(kind));
+  span.AnnotateU64("a", a);
+  span.AnnotateU64("b", b);
+  if (!detail.empty()) span.Annotate("detail", detail);
+  Events().Push(span);
 }
 
 // ---------------------------------------------------------------------------
@@ -173,8 +103,7 @@ std::string ExemplarJson(const StepExemplar& ex) {
       static_cast<unsigned long long>(ex.trace.lo),
       static_cast<unsigned long long>(ex.session_id), ex.request, ex.step,
       ex.kind,
-      ServePathName(static_cast<ServePath>(ex.serve_path <= 4 ? ex.serve_path
-                                                              : 0)),
+      ServePathName(static_cast<ServePath>(ex.serve_path)),
       static_cast<unsigned long long>(ex.ts_ns),
       static_cast<unsigned long long>(ex.total_ns),
       static_cast<unsigned long long>(ex.queue_wait_ns));
@@ -270,10 +199,9 @@ void FinishRequestJourney(JourneyContext& ctx, const char* name,
     std::memcpy(ex.request, name, rn);
     ex.request[rn] = '\0';
     ExemplarStore::Global().Add(ex);
-    FlightRecorder::Global().Record(
-        FlightEventKind::kSlowStep,
-        static_cast<int64_t>((ctx.step_total_ns + queue_wait_ns) / 1000000),
-        static_cast<int64_t>(ctx.session_id), name);
+    RecordEvent(FlightEventKind::kSlowStep,
+                (ctx.step_total_ns + queue_wait_ns) / 1000000, ctx.session_id,
+                name);
   }
 }
 
@@ -287,11 +215,51 @@ volatile std::sig_atomic_t g_dump_requested = 0;
 
 void HandleDumpSignal(int) { g_dump_requested = 1; }
 
+/// Appends NUL-terminated `src` to the line at *p, stopping at `end`.
+void AppendStr(char** p, const char* end, const char* src) {
+  while (*src != '\0' && *p < end) *(*p)++ = *src++;
+}
+
+/// One event as "+<s>.<ms>s <kind> a=<a> b=<b> <detail>\n" into `buf`;
+/// returns the length. Stack memory and FormatU64 only: signal-safe.
+size_t RenderEventLine(const Span& ev, char* buf, size_t cap) {
+  char* p = buf;
+  const char* end = buf + cap - 1;  // room for the newline
+  char secs[21];
+  secs[20] = '\0';
+  const uint64_t ms = (ev.start_ns / 1000000) % 1000;
+  const char frac[] = {'.', static_cast<char>('0' + ms / 100),
+                       static_cast<char>('0' + ms / 10 % 10),
+                       static_cast<char>('0' + ms % 10), 's', ' ', '\0'};
+  AppendStr(&p, end, "+");
+  AppendStr(&p, end, FormatU64(ev.start_ns / 1000000000, secs + 20));
+  AppendStr(&p, end, frac);
+  AppendStr(&p, end, ev.name);
+  for (uint8_t i = 0; i < ev.num_annotations && i < kMaxSpanAnnotations; ++i) {
+    AppendStr(&p, end, " ");
+    if (std::strcmp(ev.ann_key[i], "detail") != 0) {  // detail prints bare
+      AppendStr(&p, end, ev.ann_key[i]);
+      AppendStr(&p, end, "=");
+    }
+    AppendStr(&p, end, ev.ann_value[i]);
+  }
+  *p++ = '\n';
+  return static_cast<size_t>(p - buf);
+}
+
 void HandleFatalSignal(int sig) {
   static const char kBanner[] = "\n--- setdisc flight recorder tail ---\n";
   ssize_t ignored = ::write(STDERR_FILENO, kBanner, sizeof(kBanner) - 1);
+  const JourneyRing& events = Events();
+  const uint64_t end = events.total();
+  Span ev;
+  char line[192];
+  for (uint64_t t = end - std::min<uint64_t>(end, 32); t < end; ++t) {
+    if (!events.Read(t, &ev)) continue;  // overwritten or mid-write
+    const size_t len = RenderEventLine(ev, line, sizeof(line));
+    ignored = ::write(STDERR_FILENO, line, len);
+  }
   (void)ignored;
-  FlightRecorder::Global().DumpTail(STDERR_FILENO, 32);
   std::signal(sig, SIG_DFL);
   ::raise(sig);
 }
@@ -307,9 +275,9 @@ bool ConsumeFlightDumpRequest() {
 }
 
 void InstallFatalTailHandler() {
-  // Force the static recorder into existence now; its lazy construction is
-  // not async-signal-safe, the handler's use of it afterwards is.
-  FlightRecorder::Global();
+  // Force the static ring into existence now; its lazy construction is not
+  // async-signal-safe, the handler's use of it afterwards is.
+  Events();
   std::signal(SIGSEGV, HandleFatalSignal);
   std::signal(SIGBUS, HandleFatalSignal);
   std::signal(SIGFPE, HandleFatalSignal);

@@ -3,21 +3,22 @@
 /// \file event_log.h
 /// The diagnostic side of request-journey tracing (journey.h):
 ///
-///  * FlightRecorder — a process-wide fixed overwrite-oldest ring of
-///    structured events (admission flips, effort-ladder moves, evictions,
-///    protocol errors, server lifecycle). Each event is pre-rendered to a
-///    text line at Record time, so the fatal-signal handler can dump the
-///    tail with nothing but write(2) — no malloc, no locks, no formatting.
-///    Dumpable as Chrome-trace instant events on SIGUSR1.
+///  * Events — the server's state transitions (admission flips, effort-
+///    ladder moves, evictions, spills, protocol errors, server lifecycle),
+///    each a zero-duration Span named by its kind in Events(), a second
+///    JourneyRing beside the journey ring. Always on: events are rare and
+///    the ring is fixed memory. The fatal-signal handler renders the newest
+///    ones through JourneyRing::Read with nothing but write(2); SIGUSR1
+///    dumps them with the same Chrome exporter as the journey.
 ///
 ///  * ExemplarStore — a bounded ring of slow-step exemplars: the full
 ///    journey of any step whose service time (queue wait + execution)
-///    crossed the --slow-ms threshold, kept for the versioned kStatsReply
-///    and appended as JSONL to the --event-log file.
+///    crossed the --slow-ms threshold, kept for the Stats reply and
+///    appended as JSONL to the --event-log file.
 ///
 ///  * Signal plumbing — SIGUSR1 sets a flag a serving loop polls
-///    (ConsumeFlightDumpRequest); fatal signals write the pre-rendered
-///    flight tail to stderr and re-raise.
+///    (ConsumeFlightDumpRequest); fatal signals write the event tail to
+///    stderr and re-raise.
 
 #include <atomic>
 #include <cstdint>
@@ -33,7 +34,7 @@
 namespace setdisc::obs {
 
 // ---------------------------------------------------------------------------
-// FlightRecorder
+// Events
 // ---------------------------------------------------------------------------
 
 enum class FlightEventKind : uint8_t {
@@ -41,9 +42,9 @@ enum class FlightEventKind : uint8_t {
   kServerDrain,
   kServerStop,
   kProtocolError,
-  kAdmissionReject,
-  kAdmissionClosed,
-  kAdmissionResumed,
+  kAdmitReject,
+  kAdmitClosed,
+  kAdmitResumed,
   kEffortDegrade,
   kEffortRecover,
   kPressureReap,
@@ -53,61 +54,24 @@ enum class FlightEventKind : uint8_t {
   kSessionSpilled,   ///< evicted/reaped with its store record retained
   kSessionResumed,   ///< rehydrated from the store (a=id, b=events replayed)
   kStoreDegraded,    ///< session store hit an I/O error and stopped logging
-  kCustom,
 };
 
-/// Stable lowercase name ("admission_reject", ...); never nullptr.
+/// Stable lowercase span name ("admit_reject", ...), at most
+/// kMaxSpanName - 1 characters; never nullptr.
 const char* FlightEventKindName(FlightEventKind kind);
 
-struct FlightEvent {
-  uint64_t ts_ns = 0;
-  FlightEventKind kind = FlightEventKind::kCustom;
-  int64_t a = 0;  ///< kind-specific (queue depth, old level, port, ...)
-  int64_t b = 0;  ///< kind-specific (new level, count, ...)
-  char detail[40] = {};
-  /// Line rendered at Record time ("+123.456s admission_reject a=9 b=0\n"),
-  /// what the fatal-signal tail writes verbatim.
-  char text[96] = {};
-};
+/// The process-wide event ring (capacity 1024). Independent of
+/// JourneyEnabled(), and separate from Journey() so that per-step spans,
+/// which wrap the journey ring in under a second at full load, cannot push
+/// a transition out before a crash tail prints it.
+JourneyRing& Events();
 
-class FlightRecorder {
- public:
-  explicit FlightRecorder(size_t capacity);
-
-  FlightRecorder(const FlightRecorder&) = delete;
-  FlightRecorder& operator=(const FlightRecorder&) = delete;
-
-  /// The process-wide recorder (capacity 1024). Always on — events are rare
-  /// (state transitions, not per-step) and the ring is fixed memory.
-  static FlightRecorder& Global();
-
-  void Record(FlightEventKind kind, int64_t a = 0, int64_t b = 0,
-              std::string_view detail = {});
-
-  /// Oldest first.
-  std::vector<FlightEvent> Snapshot() const;
-
-  uint64_t total() const { return total_.load(std::memory_order_relaxed); }
-
-  /// Writes the newest `max_events` pre-rendered lines to `fd` using only
-  /// write(2) and relaxed atomic loads — async-signal-safe. Lines from a
-  /// slot being overwritten at that instant may be garbled; acceptable in a
-  /// crash dump.
-  void DumpTail(int fd, size_t max_events) const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<FlightEvent> ring_;  // sized once in the constructor
-  std::atomic<uint64_t> total_{0};
-};
-
-/// Chrome trace-event JSON of Global()'s snapshot: one instant event
-/// ("ph":"i") per flight event, loadable in Perfetto next to the journey
-/// spans.
-std::string FlightChromeJson();
-
-/// Writes FlightChromeJson() to `path` (truncating); false on I/O failure.
-bool WriteFlightDump(const std::string& path);
+/// Pushes one zero-duration span into Events(): name FlightEventKindName
+/// (kind), annotations "a" and "b" (kind-specific: queue depth, old level,
+/// port, ...) and "detail" when not empty (truncated to
+/// kMaxAnnotationValue - 1 characters).
+void RecordEvent(FlightEventKind kind, uint64_t a = 0, uint64_t b = 0,
+                 std::string_view detail = {});
 
 // ---------------------------------------------------------------------------
 // EventLog — JSONL sink
@@ -198,9 +162,11 @@ void FinishRequestJourney(JourneyContext& ctx, const char* name,
 void InstallFlightDumpSignalHandler();
 bool ConsumeFlightDumpRequest();
 
-/// SIGSEGV/SIGBUS/SIGFPE/SIGABRT handler: writes the pre-rendered flight
-/// tail to stderr with write(2) only, then restores the default handler and
-/// re-raises so the process still dies (and dumps core) normally.
+/// SIGSEGV/SIGBUS/SIGFPE/SIGABRT handler: writes the newest 32 events to
+/// stderr, one "+<s>.<ms>s <kind> a=<a> b=<b> <detail>" line each, with
+/// Read, integer formatting into a stack buffer and write(2) only; then
+/// restores the default handler and re-raises so the process still dies
+/// (and dumps core) normally.
 void InstallFatalTailHandler();
 
 }  // namespace setdisc::obs

@@ -66,16 +66,21 @@ void Span::Annotate(std::string_view key, std::string_view value) {
   ++num_annotations;
 }
 
+char* FormatU64(uint64_t value, char* end) {
+  do {
+    *--end = static_cast<char>('0' + value % 10);
+    value /= 10;
+  } while (value != 0);
+  return end;
+}
+
 void Span::AnnotateU64(std::string_view key, uint64_t value) {
   // Manual digits: this runs a few times per step on the serving hot path,
   // where snprintf's format parsing is measurable against the <2% budget.
   char buf[20];
-  char* p = buf + sizeof(buf);
-  do {
-    *--p = static_cast<char>('0' + value % 10);
-    value /= 10;
-  } while (value != 0);
-  Annotate(key, std::string_view(p, buf + sizeof(buf) - p));
+  char* end = buf + sizeof(buf);
+  const char* p = FormatU64(value, end);
+  Annotate(key, std::string_view(p, end - p));
 }
 
 // ---------------------------------------------------------------------------
@@ -90,9 +95,9 @@ void JourneyRing::Push(const Span& span) {
   Slot& slot = slots_[ticket % slots_.size()];
   // Seqlock write: stamp odd, copy words relaxed, stamp even. The stamps are
   // ticket-derived so a reader that raced a *completed* overwrite still sees
-  // the sequence change and retries/skips.
+  // the sequence change and skips the slot.
   slot.seq.store(2 * ticket + 1, std::memory_order_relaxed);
-  // Fence-to-fence pairing with Snapshot's acquire fence: a reader that sees
+  // Fence-to-fence pairing with Read's acquire fence: a reader that sees
   // any of the data words below also sees the odd stamp above, so it cannot
   // validate a torn read.
   std::atomic_thread_fence(std::memory_order_release);
@@ -104,36 +109,31 @@ void JourneyRing::Push(const Span& span) {
   slot.seq.store(2 * ticket + 2, std::memory_order_release);
 }
 
-std::vector<Span> JourneyRing::Snapshot() const {
-  struct Entry {
-    uint64_t ticket;
-    Span span;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(slots_.size());
-  for (const Slot& slot : slots_) {
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      const uint64_t s1 = slot.seq.load(std::memory_order_acquire);
-      if (s1 == 0) break;        // never written
-      if (s1 % 2 != 0) continue; // writer mid-copy; retry
-      uint64_t words[kSpanWords];
-      for (size_t i = 0; i < kSpanWords; ++i) {
-        words[i] = slot.words[i].load(std::memory_order_relaxed);
-      }
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (slot.seq.load(std::memory_order_relaxed) != s1) continue;  // torn
-      Entry e;
-      e.ticket = s1 / 2 - 1;
-      std::memcpy(&e.span, words, sizeof(Span));
-      entries.push_back(e);
-      break;
-    }
+bool JourneyRing::Read(uint64_t ticket, Span* out) const {
+  // Seqlock read that accepts exactly this ticket's stable stamp: an older,
+  // newer or in-progress write of the slot all fail the comparison.
+  const Slot& slot = slots_[ticket % slots_.size()];
+  const uint64_t stamp = 2 * ticket + 2;
+  if (slot.seq.load(std::memory_order_acquire) != stamp) return false;
+  uint64_t words[kSpanWords];
+  for (size_t i = 0; i < kSpanWords; ++i) {
+    words[i] = slot.words[i].load(std::memory_order_relaxed);
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.ticket < b.ticket; });
+  std::atomic_thread_fence(std::memory_order_acquire);
+  if (slot.seq.load(std::memory_order_relaxed) != stamp) return false;  // torn
+  std::memcpy(out, words, sizeof(Span));
+  return true;
+}
+
+std::vector<Span> JourneyRing::Snapshot() const {
+  const uint64_t end = total();
+  const uint64_t begin = end - std::min<uint64_t>(end, slots_.size());
   std::vector<Span> out;
-  out.reserve(entries.size());
-  for (const Entry& e : entries) out.push_back(e.span);
+  out.reserve(end - begin);
+  Span span;
+  for (uint64_t ticket = begin; ticket < end; ++ticket) {
+    if (Read(ticket, &span)) out.push_back(span);
+  }
   return out;
 }
 
@@ -175,8 +175,8 @@ void EmitStepSpans(JourneyContext& ctx, uint8_t kind, uint32_t step_index,
   step.SetName(kind == 0 ? "step:answer" : "step:verify");
   step.AnnotateU64("step", step_index);
   if (entity != UINT32_MAX) step.AnnotateU64("entity", entity);
-  step.Annotate("path", ServePathName(static_cast<ServePath>(
-                    accum.serve_path <= 4 ? accum.serve_path : 0)));
+  step.Annotate("path",
+                ServePathName(static_cast<ServePath>(accum.serve_path)));
   // kSelect spans phases 0-2, so it would double-cover as a child; keep it
   // as an annotation instead.
   if (accum.ns[static_cast<size_t>(Phase::kSelect)] > 0) {
@@ -284,14 +284,10 @@ std::string SpansToChromeJson(const std::vector<Span>& spans) {
   return out;
 }
 
-std::string JourneyChromeJson() {
-  return SpansToChromeJson(Journey().Snapshot());
-}
-
-bool WriteJourneyTrace(const std::string& path) {
+bool WriteChromeTrace(const std::string& path, const JourneyRing& ring) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
-  const std::string json = JourneyChromeJson();
+  const std::string json = SpansToChromeJson(ring.Snapshot());
   const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
   return (std::fclose(f) == 0) && ok;
 }

@@ -4,9 +4,9 @@
 /// Request-journey tracing: the per-request layer on top of the aggregate
 /// sensors in metrics.h/trace.h. A *journey* is the span tree of one request
 /// — request span, queue-wait child, step child, phase grandchildren — tied
-/// together by a 128-bit trace id that can cross the wire (see the
-/// CreateSession trace-context extension in net/protocol.h). The session
-/// stores that id (and persists it with its durable record), so every
+/// together by a 128-bit trace id that can cross the wire (the trace id
+/// fields of CreateSessionMsg in net/protocol.h). The session stores that
+/// id (and persists it with its durable record), so every
 /// request of one conversation, before and after a spill or restart, lands
 /// in one trace: a session's per-step history is the `step:` spans carrying
 /// its trace id, one per answer or verify, numbered by their `step`
@@ -15,10 +15,12 @@
 /// Spans land in a process-wide lock-free bounded ring (JourneyRing): Push
 /// is a ticket fetch_add plus ~25 relaxed atomic word stores guarded by a
 /// per-slot seqlock, so the serving hot path never takes a lock and readers
-/// (Snapshot, the --trace-export dump) skip slots they catch mid-write.
+/// (Read, Snapshot, the Chrome export) skip slots they catch mid-write.
 /// Under extreme wrap contention (more concurrent writers than ring
 /// capacity apart) a slot can be abandoned — acceptable for a diagnostic
 /// ring, and the seqlock keeps every *returned* span internally consistent.
+/// A second ring of the same type, Events() in event_log.h, holds the
+/// server's state transitions as zero-duration spans.
 ///
 /// Trace context flows through a thread-local JourneyContext installed by
 /// the layer that knows the request boundary (the server's pool-job wrapper,
@@ -93,6 +95,11 @@ struct alignas(8) Span {
   void AnnotateU64(std::string_view key, uint64_t value);
 };
 
+/// Writes the decimal digits of `value` so they end just before `end` and
+/// returns the first digit; the 20 bytes before `end` must be writable. No
+/// allocation, locale or libc call, so it is async-signal-safe.
+char* FormatU64(uint64_t value, char* end);
+
 static_assert(std::is_trivially_copyable_v<Span>);
 static_assert(sizeof(Span) % sizeof(uint64_t) == 0);
 
@@ -113,8 +120,13 @@ class JourneyRing {
   /// fetch_add ticket plus relaxed word stores under a per-slot seqlock.
   void Push(const Span& span);
 
-  /// Every readable span, oldest-ticket first. Slots caught mid-write (or
-  /// overwritten while being read) are skipped, never returned torn.
+  /// Copies the span pushed with `ticket` (0-based push ordinal) into *out.
+  /// False when that ticket was never written, has been overwritten, or is
+  /// being written right now; a returned span is never torn. Lock-free and
+  /// allocation-free, so it is safe in a signal handler.
+  bool Read(uint64_t ticket, Span* out) const;
+
+  /// Every readable span of the last capacity() tickets, oldest first.
   std::vector<Span> Snapshot() const;
 
   /// Total spans ever pushed (>= capacity means the ring has wrapped).
@@ -219,11 +231,8 @@ void EmitStepSpans(JourneyContext& ctx, uint8_t kind, uint32_t step_index,
 /// share a track, span/parent ids and annotations in "args".
 std::string SpansToChromeJson(const std::vector<Span>& spans);
 
-/// SpansToChromeJson over the global ring's snapshot.
-std::string JourneyChromeJson();
-
-/// Writes JourneyChromeJson() to `path` (truncating). Returns false on I/O
-/// failure.
-bool WriteJourneyTrace(const std::string& path);
+/// Writes SpansToChromeJson(ring.Snapshot()) to `path` (truncating). Returns
+/// false on I/O failure.
+bool WriteChromeTrace(const std::string& path, const JourneyRing& ring);
 
 }  // namespace setdisc::obs

@@ -147,15 +147,13 @@ void LoadController::Tick() {
       degrades_.fetch_add(1, std::memory_order_relaxed);
       over_ticks_ = 0;
       under_pressure = true;
-      obs::FlightRecorder::Global().Record(
-          obs::FlightEventKind::kEffortDegrade, level, level + 1);
+      obs::RecordEvent(obs::FlightEventKind::kEffortDegrade, level, level + 1);
       if (effort_sink_) effort_sink_(level + 1);
     } else if (under_ticks_ >= options_.recover_after_ticks && level > 0) {
       effort_level_.store(level - 1, std::memory_order_relaxed);
       recovers_.fetch_add(1, std::memory_order_relaxed);
       under_ticks_ = 0;
-      obs::FlightRecorder::Global().Record(
-          obs::FlightEventKind::kEffortRecover, level, level - 1);
+      obs::RecordEvent(obs::FlightEventKind::kEffortRecover, level, level - 1);
       if (effort_sink_) effort_sink_(level - 1);
     }
   }
@@ -172,9 +170,8 @@ void LoadController::Tick() {
     size_t reaped = reaper_(options_.pressure_idle_ttl);
     if (reaped > 0) {
       pressure_reaped_.fetch_add(reaped, std::memory_order_relaxed);
-      obs::FlightRecorder::Global().Record(
-          obs::FlightEventKind::kPressureReap, static_cast<int64_t>(reaped),
-          options_.pressure_idle_ttl.count());
+      obs::RecordEvent(obs::FlightEventKind::kPressureReap, reaped,
+                       options_.pressure_idle_ttl.count());
     }
   }
 }
@@ -190,23 +187,19 @@ bool LoadController::AdmitCreate(uint32_t* retry_after_ms) {
       if (depth >= options_.admit_queue_watermark) {
         open = false;
         admitting_.store(false, std::memory_order_relaxed);
-        obs::FlightRecorder::Global().Record(
-            obs::FlightEventKind::kAdmissionClosed,
-            static_cast<int64_t>(depth),
-            static_cast<int64_t>(options_.admit_queue_watermark));
+        obs::RecordEvent(obs::FlightEventKind::kAdmitClosed, depth,
+                         options_.admit_queue_watermark);
       }
     } else if (depth <= options_.admit_resume_depth) {
       open = true;
       admitting_.store(true, std::memory_order_relaxed);
-      obs::FlightRecorder::Global().Record(
-          obs::FlightEventKind::kAdmissionResumed, static_cast<int64_t>(depth),
-          static_cast<int64_t>(options_.admit_resume_depth));
+      obs::RecordEvent(obs::FlightEventKind::kAdmitResumed, depth,
+                       options_.admit_resume_depth);
     }
   }
   if (!open) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
-    obs::FlightRecorder::Global().Record(
-        obs::FlightEventKind::kAdmissionReject, static_cast<int64_t>(depth));
+    obs::RecordEvent(obs::FlightEventKind::kAdmitReject, depth);
     if (retry_after_ms != nullptr) *retry_after_ms = options_.retry_after_ms;
     return false;
   }

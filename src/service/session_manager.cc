@@ -259,16 +259,14 @@ void SessionManager::EvictLruLocked() {
       vit->second->finished.load(std::memory_order_relaxed);
   lru_.pop_front();
   sessions_.erase(vit);
-  obs::FlightRecorder::Global().Record(obs::FlightEventKind::kSessionEvicted,
-                                       static_cast<int64_t>(victim),
-                                       static_cast<int64_t>(sessions_.size()));
+  obs::RecordEvent(obs::FlightEventKind::kSessionEvicted, victim,
+                   sessions_.size());
   if (store_ == nullptr) return;
   if (victim_finished) {
     store_->Erase(victim);
   } else {
     if (spilled_counter_ != nullptr) spilled_counter_->Add();
-    obs::FlightRecorder::Global().Record(obs::FlightEventKind::kSessionSpilled,
-                                         static_cast<int64_t>(victim));
+    obs::RecordEvent(obs::FlightEventKind::kSessionSpilled, victim);
   }
 }
 
@@ -300,12 +298,11 @@ std::shared_ptr<SessionManager::Entry> SessionManager::Rehydrate(
   if (!store_->Get(id, &rec)) return nullptr;
   auto fail = [this](const char* why, SessionId sid) {
     if (rehydrate_failed_counter_ != nullptr) rehydrate_failed_counter_->Add();
-    obs::FlightRecorder::Global().Record(obs::FlightEventKind::kSessionError,
-                                         static_cast<int64_t>(sid), 0, why);
+    obs::RecordEvent(obs::FlightEventKind::kSessionError, sid, 0, why);
     return std::shared_ptr<Entry>();
   };
   if (rec.collection_fingerprint != store_fp_) {
-    return fail("rehydrate: collection mismatch", id);
+    return fail("collection mismatch", id);
   }
   // The record's discovery options must match ours: replay under different
   // §6 semantics would diverge from the original conversation.
@@ -314,14 +311,14 @@ std::shared_ptr<SessionManager::Entry> SessionManager::Rehydrate(
       rec.options.verify_and_backtrack !=
           options_.discovery.verify_and_backtrack ||
       rec.options.max_backtracks != options_.discovery.max_backtracks) {
-    return fail("rehydrate: options mismatch", id);
+    return fail("options mismatch", id);
   }
   // Replay records nothing: no latency histograms, no steps counter, no
   // spans into whatever request is resuming the session.
   std::shared_ptr<Entry> entry =
       NewEntry(rec.initial, rec.create_effort, /*record=*/false);
   if (entry->selector->name() != rec.selector) {
-    return fail("rehydrate: selector mismatch", id);
+    return fail("selector mismatch", id);
   }
   // Replay the journal with the selector pinned to each event's recorded
   // effort (no effort source yet, so manual SetEffort sticks — see
@@ -336,12 +333,12 @@ std::shared_ptr<SessionManager::Entry> SessionManager::Rehydrate(
     if (ev.kind == kEventAnswer) {
       if (entry->session->state() != SessionState::kAwaitingAnswer ||
           ev.value > static_cast<uint8_t>(Oracle::Answer::kDontKnow)) {
-        return fail("rehydrate: journal does not replay", id);
+        return fail("journal replay", id);
       }
       entry->session->SubmitAnswer(static_cast<Oracle::Answer>(ev.value));
     } else {
       if (entry->session->state() != SessionState::kAwaitingVerify) {
-        return fail("rehydrate: journal does not replay", id);
+        return fail("journal replay", id);
       }
       entry->session->Verify(ev.value != 0);
     }
@@ -372,9 +369,7 @@ std::shared_ptr<SessionManager::Entry> SessionManager::Rehydrate(
     sessions_.emplace(id, entry);
   }
   if (resumed_counter_ != nullptr) resumed_counter_->Add();
-  obs::FlightRecorder::Global().Record(obs::FlightEventKind::kSessionResumed,
-                                       static_cast<int64_t>(id),
-                                       static_cast<int64_t>(replayed));
+  obs::RecordEvent(obs::FlightEventKind::kSessionResumed, id, replayed);
   return entry;
 }
 
@@ -529,8 +524,7 @@ size_t SessionManager::ReapOlderThanLocked(Clock::time_point cutoff) {
       } else {
         // Spill: the record stays, the conversation resumes on next touch.
         if (spilled_counter_ != nullptr) spilled_counter_->Add();
-        obs::FlightRecorder::Global().Record(
-            obs::FlightEventKind::kSessionSpilled, static_cast<int64_t>(id));
+        obs::RecordEvent(obs::FlightEventKind::kSessionSpilled, id);
       }
     }
   }

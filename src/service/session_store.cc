@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "obs/event_log.h"
 #include "obs/registry.h"
 
 namespace setdisc {
@@ -234,6 +235,14 @@ void SessionStore::AppendWalLocked(uint8_t kind, std::string_view body) {
   }
 }
 
+void SessionStore::MarkDegradedLocked() {
+  ++stats_.io_errors;
+  if (io_errors_counter_ != nullptr) io_errors_counter_->Add();
+  if (degraded_) return;
+  degraded_ = true;
+  obs::RecordEvent(obs::FlightEventKind::kStoreDegraded, stats_.io_errors);
+}
+
 Status SessionStore::FlushLocked() {
   if (pending_.empty() || !open_ || degraded_) {
     pending_.clear();
@@ -244,9 +253,7 @@ Status SessionStore::FlushLocked() {
     Result<std::unique_ptr<WritableFile>> file =
         fs_->OpenAppendable(WalPath());
     if (!file.ok()) {
-      ++stats_.io_errors;
-      if (io_errors_counter_ != nullptr) io_errors_counter_->Add();
-      degraded_ = true;
+      MarkDegradedLocked();
       pending_.clear();
       pending_records_ = 0;
       return file.status();
@@ -259,9 +266,7 @@ Status SessionStore::FlushLocked() {
     // The file may now end in a torn record; appending more after it would
     // make everything past the tear unreadable on replay. Stop writing —
     // the next successful Checkpoint() rewrites the world and heals this.
-    ++stats_.io_errors;
-    if (io_errors_counter_ != nullptr) io_errors_counter_->Add();
-    degraded_ = true;
+    MarkDegradedLocked();
     wal_.reset();
     pending_.clear();
     pending_records_ = 0;
@@ -295,9 +300,7 @@ Status SessionStore::CheckpointLocked() {
   }
   Status s = fs_->WriteFileAtomic(CheckpointPath(), data, options_.fsync);
   if (!s.ok()) {
-    ++stats_.io_errors;
-    if (io_errors_counter_ != nullptr) io_errors_counter_->Add();
-    degraded_ = true;
+    MarkDegradedLocked();
     return s;
   }
   // Everything pending is inside the checkpoint; the WAL restarts empty.
@@ -311,9 +314,7 @@ Status SessionStore::CheckpointLocked() {
     // The state itself is safe (the checkpoint holds everything), but new
     // appends after the old WAL content — possibly ending in a torn record —
     // would be unreadable on replay. Stay degraded until a truncate works.
-    ++stats_.io_errors;
-    if (io_errors_counter_ != nullptr) io_errors_counter_->Add();
-    degraded_ = true;
+    MarkDegradedLocked();
     return t;
   }
   degraded_ = false;

@@ -1,14 +1,15 @@
 // Request-journey tracing tests (src/obs/journey.h, src/obs/event_log.h):
 // the lock-free span ring (including a concurrent hammer meant to run under
 // TSan), span-tree emission through JourneyContext, slow-step exemplar
-// capture, the flight recorder, and the Chrome trace-event renderers.
+// capture, the event ring with its fatal-signal tail, and the Chrome
+// trace-event export.
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <atomic>
+#include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -103,10 +104,17 @@ TEST(JourneyRingTest, WrapKeepsTheNewestSpans) {
   for (size_t i = 0; i < spans.size(); ++i) {
     EXPECT_EQ(spans[i].span_id, 13 + i);
   }
+  // Read answers for exactly the surviving tickets.
+  Span span;
+  ASSERT_TRUE(ring.Read(19, &span));
+  EXPECT_EQ(span.span_id, 20u);
+  EXPECT_FALSE(ring.Read(11, &span)) << "overwritten by ticket 19";
+  EXPECT_FALSE(ring.Read(20, &span)) << "never written";
+  EXPECT_FALSE(ring.Read(27, &span)) << "never written, same slot as 19";
 }
 
 // Concurrent hammer: writers race each other (and the ring wrap) while
-// readers snapshot continuously. Every span a snapshot returns must be
+// readers read continuously. Every span a read returns must be
 // internally consistent — the seqlock may skip torn slots but never emit
 // one. Run under TSan this also proves the fence pairing is clean.
 TEST(JourneyRingTest, ConcurrentPushAndSnapshotNeverReturnTornSpans) {
@@ -129,14 +137,19 @@ TEST(JourneyRingTest, ConcurrentPushAndSnapshotNeverReturnTornSpans) {
     }
   };
 
+  // One reader snapshots the whole ring, the other chases the newest
+  // ticket with Read, where a writer is most likely mid-copy.
   std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&] {
-      while (!done.load(std::memory_order_acquire)) {
-        check(ring.Snapshot());
-      }
-    });
-  }
+  readers.emplace_back([&] {
+    while (!done.load(std::memory_order_acquire)) check(ring.Snapshot());
+  });
+  readers.emplace_back([&] {
+    Span span;
+    while (!done.load(std::memory_order_acquire)) {
+      const uint64_t total = ring.total();
+      if (total != 0 && ring.Read(total - 1, &span)) check({span});
+    }
+  });
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
@@ -331,74 +344,71 @@ TEST(JourneyEmissionTest, JourneyScopeInstallsAndRestores) {
 }
 
 // ---------------------------------------------------------------------------
-// FlightRecorder
+// Events
 // ---------------------------------------------------------------------------
 
-TEST(FlightRecorderTest, RecordsPreRenderedEventsOldestFirst) {
-  FlightRecorder rec(8);
-  rec.Record(FlightEventKind::kServerStart, 9090, 9091);
-  rec.Record(FlightEventKind::kAdmissionReject, 12);
-  rec.Record(FlightEventKind::kEffortDegrade, 0, 1, "p99 over target");
-  std::vector<FlightEvent> events = rec.Snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].kind, FlightEventKind::kServerStart);
-  EXPECT_EQ(events[0].a, 9090);
-  EXPECT_EQ(events[1].kind, FlightEventKind::kAdmissionReject);
-  EXPECT_EQ(events[2].b, 1);
-  EXPECT_STREQ(events[2].detail, "p99 over target");
-  // Every event carries its pre-rendered crash-dump line.
-  for (const FlightEvent& ev : events) {
-    std::string line(ev.text);
-    EXPECT_NE(line.find(FlightEventKindName(ev.kind)), std::string::npos)
-        << line;
-    EXPECT_FALSE(line.empty());
-    EXPECT_EQ(line.back(), '\n');
+TEST(EventsTest, RecordEventPushesZeroDurationSpansOldestFirst) {
+  const uint64_t first = Events().total();
+  RecordEvent(FlightEventKind::kServerStart, 9090, 9091);
+  RecordEvent(FlightEventKind::kAdmitReject, 12);
+  RecordEvent(FlightEventKind::kEffortDegrade, 0, 1, "p99 over target");
+  ASSERT_EQ(Events().total(), first + 3);
+
+  Span ev[3];
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(Events().Read(first + i, &ev[i]));
+  EXPECT_STREQ(ev[0].name, "server_start");
+  EXPECT_STREQ(ev[1].name, "admit_reject");
+  EXPECT_STREQ(ev[2].name, "effort_degrade");
+  for (const Span& e : ev) {
+    EXPECT_EQ(e.duration_ns, 0u);
+    EXPECT_GT(e.start_ns, 0u);
+    EXPECT_EQ(e.trace_hi | e.trace_lo, 0u) << "events belong to no trace";
   }
+  ASSERT_EQ(ev[0].num_annotations, 2);
+  EXPECT_STREQ(ev[0].ann_key[0], "a");
+  EXPECT_STREQ(ev[0].ann_value[0], "9090");
+  EXPECT_STREQ(ev[0].ann_key[1], "b");
+  EXPECT_STREQ(ev[0].ann_value[1], "9091");
+  EXPECT_STREQ(ev[1].ann_value[1], "0");
+  ASSERT_EQ(ev[2].num_annotations, 3);
+  EXPECT_STREQ(ev[2].ann_key[2], "detail");
+  EXPECT_STREQ(ev[2].ann_value[2], "p99 over target");
+
+  // 19 digits still fit an annotation value (kMaxAnnotationValue counts
+  // the NUL); only values >= 10^19 would be cut, and no a/b comes near.
+  RecordEvent(FlightEventKind::kServerStop, 9999999999999999999ull);
+  Span big;
+  ASSERT_TRUE(Events().Read(first + 3, &big));
+  EXPECT_STREQ(big.ann_value[0], "9999999999999999999");
 }
 
-TEST(FlightRecorderTest, RingOverwritesOldest) {
-  FlightRecorder rec(4);
-  for (int i = 0; i < 10; ++i) {
-    rec.Record(FlightEventKind::kCustom, i);
-  }
-  std::vector<FlightEvent> events = rec.Snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events.front().a, 6);
-  EXPECT_EQ(events.back().a, 9);
-  EXPECT_EQ(rec.total(), 10u);
-}
-
-TEST(FlightRecorderTest, DumpTailWritesNewestLinesWithWriteOnly) {
-  FlightRecorder rec(8);
-  rec.Record(FlightEventKind::kServerStart, 1);
-  rec.Record(FlightEventKind::kSessionEvicted, 2);
-  rec.Record(FlightEventKind::kServerStop, 3);
-
-  int fds[2];
-  ASSERT_EQ(pipe(fds), 0);
-  rec.DumpTail(fds[1], /*max_events=*/2);
-  close(fds[1]);
-  std::string out;
-  char buf[512];
-  ssize_t n;
-  while ((n = read(fds[0], buf, sizeof(buf))) > 0) out.append(buf, n);
-  close(fds[0]);
-
-  // Only the newest two lines, in order.
-  EXPECT_EQ(out.find("server_start"), std::string::npos) << out;
-  size_t evicted = out.find("session_evicted");
-  size_t stop = out.find("server_stop");
-  ASSERT_NE(evicted, std::string::npos) << out;
-  ASSERT_NE(stop, std::string::npos) << out;
-  EXPECT_LT(evicted, stop);
-}
-
-TEST(FlightRecorderTest, EveryKindHasAName) {
-  for (int k = 0; k <= static_cast<int>(FlightEventKind::kCustom); ++k) {
+TEST(EventsTest, EveryKindHasAShortName) {
+  for (int k = 0; k <= static_cast<int>(FlightEventKind::kStoreDegraded); ++k) {
     const char* name = FlightEventKindName(static_cast<FlightEventKind>(k));
     ASSERT_NE(name, nullptr);
-    EXPECT_GT(std::string(name).size(), 0u);
+    EXPECT_GT(std::strlen(name), 0u);
+    EXPECT_LE(std::strlen(name), kMaxSpanName - 1) << name;
+    EXPECT_STRNE(name, "unknown") << "kind " << k;
   }
+}
+
+// The fatal-signal handler renders the newest events from the ring with
+// write(2) only. "threadsafe" re-executes the test binary for the child,
+// which keeps the death test sound under TSan and with live threads.
+TEST(EventsDeathTest, FatalSignalWritesTheEventTailAndDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        InstallFatalTailHandler();
+        RecordEvent(FlightEventKind::kSessionEvicted, 41, 2);
+        RecordEvent(FlightEventKind::kSessionError, 42, 0, "journal replay");
+        raise(SIGABRT);
+      },
+      ::testing::KilledBySignal(SIGABRT),
+      "--- setdisc flight recorder tail ---\n"
+      "(.*\n)*"
+      "\\+[0-9]+\\.[0-9][0-9][0-9]s session_evicted a=41 b=2\n"
+      "\\+[0-9]+\\.[0-9][0-9][0-9]s session_error a=42 b=0 journal replay\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -481,17 +491,26 @@ TEST(ChromeJsonTest, SpansRenderAsCompleteEventsWithEscapedStrings) {
   EXPECT_EQ(json.find('\0'), std::string::npos);
 }
 
-TEST(ChromeJsonTest, FlightEventsRenderAsInstants) {
-  FlightRecorder::Global().Record(FlightEventKind::kCustom, 1, 2,
-                                  "chrome json test");
-  const std::string json = FlightChromeJson();
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(json.find("\"custom\""), std::string::npos) << json;
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
+TEST(ChromeJsonTest, EventsExportAsZeroDurationSpans) {
+  RecordEvent(FlightEventKind::kServerStart, 19923, 0, "chrome json test");
+  const std::string path = ::testing::TempDir() + "journey_events.json";
+  ASSERT_TRUE(WriteChromeTrace(path, Events()));
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const std::string json = ss.str();
+  const size_t at = json.rfind("\"name\":\"server_start\"");
+  ASSERT_NE(at, std::string::npos) << json;
+  const std::string ev = json.substr(at, json.find("}}", at) - at);
+  EXPECT_NE(ev.find("\"ph\":\"X\""), std::string::npos) << ev;
+  EXPECT_NE(ev.find("\"dur\":0.000"), std::string::npos) << ev;
+  EXPECT_NE(ev.find("\"a\":\"19923\",\"b\":\"0\""), std::string::npos) << ev;
+  EXPECT_NE(ev.find("\"detail\":\"chrome json test\""), std::string::npos)
+      << ev;
+  std::remove(path.c_str());
 }
 
-TEST(ChromeJsonTest, WriteJourneyTraceProducesAFile) {
+TEST(ChromeJsonTest, WriteChromeTraceExportsTheJourney) {
   SetJourneyEnabled(true);
   JourneyContext ctx;
   ctx.trace = MakeTraceId();
@@ -501,13 +520,14 @@ TEST(ChromeJsonTest, WriteJourneyTraceProducesAFile) {
   SetJourneyEnabled(false);
 
   const std::string path = ::testing::TempDir() + "journey_trace.json";
-  ASSERT_TRUE(WriteJourneyTrace(path));
+  ASSERT_TRUE(WriteChromeTrace(path, Journey()));
   std::ifstream in(path);
   std::stringstream ss;
   ss << in.rdbuf();
   const std::string json = ss.str();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(json.find("step:answer"), std::string::npos);
   std::remove(path.c_str());
 }
 

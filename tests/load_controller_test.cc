@@ -13,9 +13,11 @@
 #include <vector>
 
 #include "core/klp.h"
+#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "service/load_controller.h"
 #include "util/clock.h"
+#include "test_util.h"
 
 namespace setdisc {
 namespace {
@@ -229,6 +231,36 @@ TEST(LoadController, AdmissionWatermarkAndResumeDepth) {
   EXPECT_TRUE(c.AdmitCreate(nullptr));
   EXPECT_TRUE(c.admitting());
   EXPECT_EQ(c.rejected_total(), 2u);
+}
+
+TEST(LoadController, AdmissionFlipsAreRecordedAsEvents) {
+  using setdisc::testing::EventsSince;
+  Sensors sensors;
+  FakeClock clock;
+  LoadControllerOptions o;
+  o.admit_queue_watermark = 8;
+  o.admit_resume_depth = 2;
+  LoadController c(o, sensors.source(), sensors.depth_source(), &clock);
+
+  uint64_t first = obs::Events().total();
+  sensors.depth = 9;
+  EXPECT_FALSE(c.AdmitCreate(nullptr));
+  std::vector<obs::Span> closed =
+      EventsSince(first, obs::FlightEventKind::kAdmitClosed);
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_STREQ(closed[0].ann_value[0], "9");  // a = depth
+  EXPECT_STREQ(closed[0].ann_value[1], "8");  // b = watermark
+  EXPECT_EQ(EventsSince(first, obs::FlightEventKind::kAdmitReject).size(), 1u);
+
+  first = obs::Events().total();
+  sensors.depth = 1;
+  EXPECT_TRUE(c.AdmitCreate(nullptr));
+  std::vector<obs::Span> resumed =
+      EventsSince(first, obs::FlightEventKind::kAdmitResumed);
+  ASSERT_EQ(resumed.size(), 1u);
+  EXPECT_STREQ(resumed[0].ann_value[0], "1");
+  EXPECT_STREQ(resumed[0].ann_value[1], "2");
+  EXPECT_TRUE(EventsSince(first, obs::FlightEventKind::kAdmitClosed).empty());
 }
 
 TEST(LoadController, AdmissionDisabledAdmitsEverything) {

@@ -623,6 +623,24 @@ TEST(DiscoveryServer, ShutdownWithNoClientsIsImmediateAndIdempotent) {
   // Destruction after shutdown is clean too (covered by the dtor).
 }
 
+TEST(DiscoveryServer, StartAndStopAreRecordedAsEvents) {
+  SetCollection c = MakePaperCollection();
+  InvertedIndex idx(c);
+  SessionManager manager(c, idx, ManagerOptions());
+  const uint64_t first = obs::Events().total();
+  auto server = StartServer(manager);
+  std::vector<obs::Span> started =
+      EventsSince(first, obs::FlightEventKind::kServerStart);
+  ASSERT_EQ(started.size(), 1u);
+  EXPECT_EQ(SpanAnnotationU64(started[0], "a"), server->port());
+  EXPECT_EQ(started[0].duration_ns, 0u);
+  server->Shutdown();
+  std::vector<obs::Span> stopped =
+      EventsSince(first, obs::FlightEventKind::kServerStop);
+  ASSERT_EQ(stopped.size(), 1u);
+  EXPECT_EQ(SpanAnnotationU64(stopped[0], "a"), server->port());
+}
+
 TEST(DiscoveryServer, RestartAfterShutdownServesAgain) {
   SetCollection c = MakePaperCollection();
   InvertedIndex idx(c);

@@ -422,9 +422,15 @@ TEST(SessionManager, CapacityEvictsLeastRecentlyTouched) {
   // Touch `a` so `b` is the LRU victim when the third session arrives.
   SessionView view;
   ASSERT_EQ(manager.Get(a, &view), SessionStatus::kOk);
+  const uint64_t first = obs::Events().total();
   SessionId d = manager.Create({}).id;
   EXPECT_EQ(manager.num_active(), 2u);
   EXPECT_EQ(manager.Get(b, &view), SessionStatus::kNotFound);
+  // The eviction is on the event ring, naming its victim.
+  std::vector<obs::Span> evicted =
+      EventsSince(first, obs::FlightEventKind::kSessionEvicted);
+  ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(SpanAnnotationU64(evicted[0], "a"), b);
   EXPECT_EQ(manager.Get(a, &view), SessionStatus::kOk);
   EXPECT_EQ(manager.Get(d, &view), SessionStatus::kOk);
 }

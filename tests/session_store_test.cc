@@ -435,6 +435,34 @@ TEST(SessionStore, EnospcDegradesThenCheckpointHeals) {
   EXPECT_TRUE(again.Contains(3));
 }
 
+TEST(SessionStore, EnteringDegradedModeRecordsOneEvent) {
+  const std::string dir = FreshDir("degraded_event");
+  FaultFs fs;
+  SessionStoreOptions opt;
+  opt.dir = dir;
+  opt.fs = &fs;
+  SessionStore store(opt);
+  ASSERT_TRUE(store.Open(42).ok());
+  const uint64_t first = obs::Events().total();
+
+  // The first failed append flips the store degraded: one event, a = the
+  // I/O errors so far.
+  fs.FailAppendsAfterBytes(0);
+  EXPECT_FALSE(store.Put(MakeRecord(1)));
+  ASSERT_TRUE(store.degraded());
+  std::vector<obs::Span> events =
+      EventsSince(first, obs::FlightEventKind::kStoreDegraded);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(SpanAnnotationU64(events[0], "a"), 1u);
+
+  // A second failure while degraded counts, but records nothing new.
+  fs.set_fail_atomic_write(true);
+  EXPECT_FALSE(store.Checkpoint().ok());
+  EXPECT_EQ(store.stats().io_errors, 2u);
+  EXPECT_EQ(EventsSince(first, obs::FlightEventKind::kStoreDegraded).size(),
+            1u);
+}
+
 TEST(SessionStore, FailedCheckpointStaysDegradedAndKeepsOldFile) {
   const std::string dir = FreshDir("ckptfail");
   FaultFs fs;

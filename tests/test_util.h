@@ -1,8 +1,8 @@
 #pragma once
 
 /// Shared fixtures for the test suite: the paper's running example (Fig. 1),
-/// random-collection generators for property tests, and a reader of one
-/// session's steps from the journey ring.
+/// random-collection generators for property tests, a reader of one
+/// session's steps from the journey ring, and a reader of the event ring.
 
 #include <cstdlib>
 #include <string>
@@ -11,6 +11,7 @@
 
 #include "collection/set_collection.h"
 #include "collection/sub_collection.h"
+#include "obs/event_log.h"
 #include "obs/journey.h"
 #include "util/rng.h"
 
@@ -152,6 +153,22 @@ inline uint64_t PhaseNanos(const RecordedStep& step, obs::Phase phase) {
     }
   }
   return ns;
+}
+
+/// The events of kind `kind` recorded from ticket `first` on (read
+/// obs::Events().total() before the action under test), oldest first.
+inline std::vector<obs::Span> EventsSince(uint64_t first,
+                                          obs::FlightEventKind kind) {
+  const obs::JourneyRing& events = obs::Events();
+  std::vector<obs::Span> out;
+  obs::Span span;
+  for (uint64_t t = first; t < events.total(); ++t) {
+    if (events.Read(t, &span) &&
+        std::string_view(span.name) == obs::FlightEventKindName(kind)) {
+      out.push_back(span);
+    }
+  }
+  return out;
 }
 
 }  // namespace setdisc::testing

@@ -87,9 +87,9 @@
 //                     survives machine crashes, not just process kills, at a
 //                     real per-step cost
 //
-// While serving, SIGUSR1 dumps the flight recorder (admission flips, effort
+// While serving, SIGUSR1 dumps the event ring (admission flips, effort
 // moves, evictions, lifecycle) as Chrome trace JSON next to the event log /
-// trace export; fatal signals print its pre-rendered tail to stderr.
+// trace export; fatal signals print its newest events to stderr.
 
 #include <atomic>
 #include <chrono>
@@ -870,7 +870,7 @@ int main(int argc, char** argv) {
                             std::chrono::milliseconds(checkpoint_interval_ms);
         }
         if (obs::ConsumeFlightDumpRequest()) {
-          if (obs::WriteFlightDump(flight_dump_path)) {
+          if (obs::WriteChromeTrace(flight_dump_path, obs::Events())) {
             hout << "flight recorder dumped to " << flight_dump_path << "\n"
                  << std::flush;
           } else {
@@ -917,7 +917,7 @@ int main(int argc, char** argv) {
              << " entries\n";
       }
       if (!trace_export_path.empty()) {
-        if (obs::WriteJourneyTrace(trace_export_path)) {
+        if (obs::WriteChromeTrace(trace_export_path, obs::Journey())) {
           hout << "journey trace (" << obs::Journey().total()
                << " spans total, ring keeps last " << obs::Journey().capacity()
                << ") exported to " << trace_export_path << "\n";
