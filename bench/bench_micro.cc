@@ -7,7 +7,6 @@
 #include <algorithm>
 
 #include "collection/count_kernels.h"
-#include "collection/delta_counter.h"
 #include "collection/entity_counter.h"
 #include "collection/inverted_index.h"
 #include "core/decision_tree.h"
@@ -156,23 +155,24 @@ void BM_KernelSubtractChild(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelSubtractChild)->Arg(4096)->Arg(65536);
 
-// Retained-order emission (DeltaCounter::EmitMostEvenOrder) vs the
-// comparison sort it replaces, on the re-emit path k-LP's top-level
-// candidate ordering hits every step.
+// k-LP's line-11 candidate order: the counting sort
+// (kernels::OrderByImbalance) vs the comparison sort it replaces, on the
+// root count list of the collection.
 void BM_OrderedEmit(benchmark::State& state) {
-  const bool use_retained = state.range(1) != 0;
+  const bool counting = state.range(1) != 0;
   SetCollection c = MakeCollection(static_cast<uint32_t>(state.range(0)));
   SubCollection full = SubCollection::Full(&c);
   const uint64_t n = full.size();
-  DeltaCounter delta;
-  delta.set_retain_order(use_retained);
+  EntityCounter counter;
   std::vector<EntityCount> counts, ordered;
-  delta.CountInformative(full, &counts, nullptr);
+  counter.CountInformative(full, &counts, nullptr);
+  std::vector<uint32_t> bucket(n + 1);
   for (auto _ : state) {
-    if (use_retained) {
-      bool served = delta.EmitMostEvenOrder(
-          full.Fingerprint(), static_cast<uint32_t>(n), nullptr, &ordered);
-      benchmark::DoNotOptimize(served);
+    if (counting) {
+      ordered.resize(counts.size());
+      kernels::OrderByImbalance(counts.data(), counts.size(),
+                                static_cast<uint32_t>(n), bucket.data(),
+                                ordered.data());
     } else {
       ordered = counts;
       std::sort(ordered.begin(), ordered.end(),
@@ -185,8 +185,9 @@ void BM_OrderedEmit(benchmark::State& state) {
                 });
     }
     benchmark::DoNotOptimize(ordered.data());
+    benchmark::ClobberMemory();
   }
-  state.SetLabel(use_retained ? "retained" : "std::sort");
+  state.SetLabel(counting ? "counting" : "std::sort");
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(counts.size()));
 }

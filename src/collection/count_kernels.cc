@@ -1,5 +1,8 @@
 #include "collection/count_kernels.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "collection/entity_counter.h"
 
 // With SETDISC_KERNEL_MULTIARCH on (gcc/x86-64 only), each kernel is cloned
@@ -8,7 +11,8 @@
 // -march-specific binary. The clones are semantically identical (same
 // scalar semantics, just wider registers); count_kernels_test runs against
 // whatever clone the host dispatches to, so the parity check covers the
-// selected ISA.
+// selected ISA. OrderByImbalance's scatter does not vectorize, so it is
+// not cloned.
 #if defined(SETDISC_KERNEL_MULTIARCH) && defined(__GNUC__) && \
     !defined(__clang__) && defined(__x86_64__)
 #define SETDISC_KERNEL_TARGETS \
@@ -71,6 +75,21 @@ size_t SubtractChild(const EntityCount* parent, size_t m, const uint32_t* dense,
     w += (c != 0) & (c != full);
   }
   return w;
+}
+
+void OrderByImbalance(const EntityCount* asc, size_t m, uint32_t n,
+                      uint32_t* bucket, EntityCount* out) {
+  const auto key = [n](uint32_t c) {
+    const uint32_t other = n - c;
+    return c > other ? c - other : other - c;
+  };
+  std::fill(bucket, bucket + n + 1, 0u);
+  for (size_t i = 0; i < m; ++i) ++bucket[key(asc[i].count)];
+  uint32_t sum = 0;
+  for (uint32_t k = 0; k <= n; ++k) sum += std::exchange(bucket[k], sum);
+  // The scatter is stable and `asc` ascends by entity, so entities stay
+  // ascending within a key.
+  for (size_t i = 0; i < m; ++i) out[bucket[key(asc[i].count)]++] = asc[i];
 }
 
 }  // namespace setdisc::kernels

@@ -1,26 +1,31 @@
 #pragma once
 
 /// \file count_kernels.h
-/// The three flat inner loops of the counting stack, isolated in their own
+/// The flat inner loops of the counting stack, isolated in their own
 /// translation unit so they stay branch-light for the auto-vectorizer and so
-/// a build can compile just them for wider ISAs (SETDISC_KERNEL_MULTIARCH;
-/// see CMakeLists.txt). Every caller-visible effect is a plain array write —
-/// no allocation, no virtual dispatch, no clearing protocol — which is what
-/// lets entity_counter.cc, delta_counter.cc, and klp.cc share them.
+/// a build can compile the counting ones for wider ISAs
+/// (SETDISC_KERNEL_MULTIARCH; see CMakeLists.txt). Every caller-visible
+/// effect is a plain array write — no allocation, no virtual dispatch, no
+/// clearing protocol — which is what lets entity_counter.cc,
+/// delta_counter.cc, and the lookahead search share them.
 ///
 ///   * AccumulateCounts — the dense gather-increment pass (one add per
 ///     (set, entity) incidence) with branchless first-touch tracking;
 ///   * GatherChild      — child counts read straight off a dense array while
 ///     walking the parent's sorted list ("kept is the smaller half");
 ///   * SubtractChild    — child counts = parent - dense sibling counts
-///     ("dropped sibling is the smaller half").
+///     ("dropped sibling is the smaller half");
+///   * OrderByImbalance — k-LP's line-11 candidate order, by a stable
+///     counting sort of a count list.
 ///
 /// The derive kernels preserve the parent list's ascending-entity order (a
 /// filtered copy), may write in place (out == parent; the write index never
 /// passes the read index), and compact with a branchless conditional
 /// post-increment instead of an if-push_back. tests/count_kernels_test.cc
-/// pins each against a naive reference — including the multi-arch build,
-/// where the same test doubles as the ISA-dispatch parity check.
+/// pins each counting kernel against a naive reference — including the
+/// multi-arch build, where the same test doubles as the ISA-dispatch parity
+/// check — and tests/delta_counter_test.cc pins OrderByImbalance against
+/// std::sort.
 
 #include <cstddef>
 #include <cstdint>
@@ -58,6 +63,15 @@ size_t GatherChild(const EntityCount* parent, size_t m, const uint32_t* dense,
 size_t SubtractChild(const EntityCount* parent, size_t m, const uint32_t* dense,
                      size_t dense_size, uint32_t n, bool drop_full,
                      EntityCount* out);
+
+/// Writes the m entries of the entity-ascending list `asc` (counts within
+/// [0, n]) to `out` ordered by (|2c - n|, entity): the line-11 order of
+/// Algorithm 1 for the set-count cost model, byte-identical to std::sort by
+/// that key. The key is an integer in [0, n], so one stable counting sort
+/// does it in O(m + n). `bucket` must have room for n + 1 entries (its
+/// contents are overwritten); out must not alias asc.
+void OrderByImbalance(const EntityCount* asc, size_t m, uint32_t n,
+                      uint32_t* bucket, EntityCount* out);
 
 }  // namespace kernels
 }  // namespace setdisc

@@ -1,7 +1,7 @@
 #include "collection/delta_counter.h"
 
 #include <algorithm>
-#include <bit>
+#include <span>
 #include <utility>
 
 #include "collection/count_kernels.h"
@@ -36,22 +36,30 @@ void NoteServe(obs::ServePath path) {
   if (obs::Enabled()) ServeCounter(path)->Add(1);
 }
 
-bool ByCountEntity(const EntityCount& a, const EntityCount& b) {
-  return a.count != b.count ? a.count < b.count : a.entity < b.entity;
+void CopyMaskIds(const EntityExclusion* excluded, std::vector<EntityId>* out) {
+  if (excluded == nullptr) {
+    out->clear();
+  } else {
+    std::span<const EntityId> ids = excluded->excluded_ids();
+    out->assign(ids.begin(), ids.end());
+  }
 }
 
 }  // namespace
 
-void DeltaCounter::EmitFiltered(const std::vector<EntityCount>& retained,
-                                const EntityExclusion* excluded,
-                                std::vector<EntityCount>* out) {
+bool DeltaCounter::MaskStillCovers(const EntityExclusion* excluded) const {
+  for (EntityId e : retained_mask_) {
+    if (excluded == nullptr || !excluded->Test(e)) return false;
+  }
+  return true;
+}
+
+void DeltaCounter::EmitFiltered(const EntityExclusion* excluded,
+                                std::vector<EntityCount>* out) const {
   out->clear();
-  out->reserve(retained.size());
-  for (const EntityCount& ec : retained) {
-    if (excluded != nullptr && ec.entity < excluded->size() &&
-        (*excluded)[ec.entity]) {
-      continue;
-    }
+  out->reserve(retained_.size());
+  for (const EntityCount& ec : retained_) {
+    if (excluded != nullptr && excluded->Test(ec.entity)) continue;
     out->push_back(ec);
   }
 }
@@ -67,9 +75,9 @@ void DeltaCounter::CountInformative(const SubCollection& sub,
   }
   const uint32_t n = static_cast<uint32_t>(sub.size());
   const uint64_t fp = sub.Fingerprint();
-  const CountServe serve = chain_.Classify(fp, excluded);
+  const bool servable = valid_ && MaskStillCovers(excluded);
 
-  if (serve == CountServe::kDelta) {
+  if (servable && pending_ && fp == expected_fp_) {
     // Derivation armed and the view is the expected child. Deriving scans
     // the SMALLER half of the partition dense (its elements) plus one pass
     // over the parent list; recounting scans the kept view's own elements
@@ -83,214 +91,68 @@ void DeltaCounter::CountInformative(const SubCollection& sub,
     const size_t sib_cost = sibling_.TotalElements();
     const size_t derive_cost = std::min(kept_cost, sib_cost) + m;
     const size_t full_cost = kept_cost + 2 * std::min(kept_cost, m);
+    pending_ = false;
     if (derive_cost < full_cost) {
-      if (sib_cost < kept_cost) {
-        // Dropped sibling is the smaller half: subtract it out of the
-        // parent list. Every child entity appears in the parent list
-        // (closure; see header), so nothing is missed. The dense scratch
-        // is still live for the order repair.
-        counter_.CountDense(sibling_);
-        const std::span<const uint32_t> dense = counter_.dense();
-        const size_t w =
-            kernels::SubtractChild(retained_.data(), m, dense.data(),
-                                   dense.size(), n,
-                                   /*drop_full=*/true, retained_.data());
-        if (retain_order_) RepairOrderAfterSubtract(dense, n);
-        retained_.resize(w);
-      } else {
-        // Kept view is the smaller half: count it dense and read the
-        // child's own counts straight off while walking the parent list —
-        // the emission order comes from the parent, so the recount's
-        // touched-sort/sweep is skipped entirely.
-        counter_.CountDense(sub);
-        const std::span<const uint32_t> dense = counter_.dense();
-        const size_t w = kernels::GatherChild(retained_.data(), m,
-                                              dense.data(), dense.size(), n,
-                                              /*drop_full=*/true,
-                                              retained_.data());
-        retained_.resize(w);
-        order_state_ = OrderState::kStale;  // every count was rewritten
-      }
+      // Dropped sibling the smaller half: subtract it out of the parent
+      // list (every child entity appears there — closure, see header).
+      // Kept view the smaller half: read the child's own counts off while
+      // walking the parent list, which skips the recount's touched-sort.
+      const bool subtract = sib_cost < kept_cost;
+      counter_.CountDense(subtract ? sibling_ : sub);
+      const std::span<const uint32_t> dense = counter_.dense();
+      const auto derive = subtract ? kernels::SubtractChild
+                                   : kernels::GatherChild;
+      retained_.resize(derive(retained_.data(), m, dense.data(), dense.size(),
+                              n, /*drop_full=*/true, retained_.data()));
       sibling_ = SubCollection();
-      chain_.CommitDelta(fp);
+      counted_fp_ = fp;
+      ++stats_.delta;
       NoteServe(obs::ServePath::kDelta);
-      EmitFiltered(retained_, excluded, out);
-      CountChain::CopyMaskIds(excluded, &last_emit_mask_);
+      EmitFiltered(excluded, out);
+      CopyMaskIds(excluded, &last_emit_mask_);
       return;
     }
-    // Derivation armed but recounting is cheaper (e.g. the parent list far
-    // outgrew the kept view): fall through to the full path. Not a chain
-    // break — the recount re-seeds the state as usual.
-    chain_.ConsumePending(/*broken=*/false);
-    sibling_ = SubCollection();
-  } else if (serve == CountServe::kReemit) {
+    // Recounting is cheaper (e.g. the parent list far outgrew the kept
+    // view): not a chain break — the full path re-seeds the state as usual.
+  } else if (servable && !pending_ && fp == counted_fp_) {
     // Same view again — a SeedChild handoff, the §6 don't-know loop
     // (exclusion grew, candidates did not), or a repeated root Select. No
     // counting: re-filter under the current mask.
-    chain_.CommitReemit();
+    ++stats_.reemits;
     NoteServe(obs::ServePath::kReemit);
-    EmitFiltered(retained_, excluded, out);
-    CountChain::CopyMaskIds(excluded, &last_emit_mask_);
+    EmitFiltered(excluded, out);
+    CopyMaskIds(excluded, &last_emit_mask_);
     return;
-  } else {
-    // Unknown view: the chain broke (cache hit skipped a count, backtrack,
-    // different collection, first call). Full count re-seeds the state.
-    chain_.ConsumePending(/*broken=*/true);
-    sibling_ = SubCollection();
+  } else if (pending_) {
+    // Unknown view with a derivation armed: the chain broke (cache hit
+    // skipped a count, backtrack, different collection).
+    ++stats_.invalidations;
+    pending_ = false;
   }
 
+  sibling_ = SubCollection();
   counter_.CountInformative(sub, &retained_, excluded);
-  chain_.CommitFull(fp, excluded);
-  order_state_ = OrderState::kStale;
+  CopyMaskIds(excluded, &retained_mask_);
+  counted_fp_ = fp;
+  valid_ = true;
+  ++stats_.full;
   NoteServe(obs::ServePath::kFull);
   out->assign(retained_.begin(), retained_.end());
-  CountChain::CopyMaskIds(excluded, &last_emit_mask_);
-}
-
-void DeltaCounter::RepairOrderAfterSubtract(std::span<const uint32_t> dense,
-                                            uint32_t n) {
-  if (order_state_ != OrderState::kValid) return;
-  // One pass splits the old order: entities the sibling never touched kept
-  // their count, so compacting them in place preserves their (count,
-  // entity) order; touched survivors land in moved_ with their new counts.
-  moved_.clear();
-  size_t w = 0;
-  for (const EntityCount& ec : order_) {
-    const EntityId e = ec.entity;
-    const uint32_t d = e < dense.size() ? dense[e] : 0;
-    if (d == 0) {
-      // Untouched — but a count equal to the CHILD's size is uninformative
-      // now even though the count itself did not move.
-      if (ec.count != n) order_[w++] = ec;
-      continue;
-    }
-    const uint32_t c = ec.count - d;
-    if (c != 0 && c != n) moved_.push_back(EntityCount{e, c});
-  }
-  const size_t t = moved_.size();
-  // Repair must never lose to re-sorting: sorting the moved set costs about
-  // t * log t, the counting-sort rebuild costs untouched + n sequential
-  // steps. When the sibling touched most of the list, rebuild instead (the
-  // in-place compaction above is then garbage, which is fine — the stale
-  // path rebuilds from retained_).
-  if (t * std::bit_width(t) > w + static_cast<size_t>(n)) {
-    order_state_ = OrderState::kStale;
-    return;
-  }
-  std::sort(moved_.begin(), moved_.end(), ByCountEntity);
-  scratch_.clear();
-  scratch_.reserve(w + t);
-  size_t ui = 0;
-  size_t mi = 0;
-  while (ui < w && mi < t) {
-    if (ByCountEntity(order_[ui], moved_[mi])) {
-      scratch_.push_back(order_[ui++]);
-    } else {
-      scratch_.push_back(moved_[mi++]);
-    }
-  }
-  scratch_.insert(scratch_.end(), order_.begin() + ui, order_.begin() + w);
-  scratch_.insert(scratch_.end(), moved_.begin() + mi, moved_.end());
-  order_.swap(scratch_);
-}
-
-void DeltaCounter::RebuildOrder(uint32_t n) {
-  const size_t m = retained_.size();
-  order_.resize(m);
-  if (m == 0) {
-    order_state_ = OrderState::kValid;
-    return;
-  }
-  // Counts are informative, i.e. in [1, n - 1]: one bucket per count value.
-  bucket_.assign(n, 0);
-  for (const EntityCount& ec : retained_) ++bucket_[ec.count];
-  uint32_t sum = 0;
-  for (uint32_t c = 0; c < n; ++c) {
-    const uint32_t b = bucket_[c];
-    bucket_[c] = sum;
-    sum += b;
-  }
-  // retained_ is entity-ascending and the scatter is stable, so within a
-  // count group entities stay ascending — exactly std::sort by (count,
-  // entity).
-  for (const EntityCount& ec : retained_) order_[bucket_[ec.count]++] = ec;
-  order_state_ = OrderState::kValid;
-}
-
-bool DeltaCounter::EmitMostEvenOrder(uint64_t fp, uint32_t n,
-                                     const EntityExclusion* excluded,
-                                     std::vector<EntityCount>* out) {
-  if (!enabled_ || !retain_order_) return false;
-  if (chain_.Classify(fp, excluded) != CountServe::kReemit) return false;
-  if (order_state_ != OrderState::kValid) RebuildOrder(n);
-  const size_t m = order_.size();
-  out->clear();
-  out->reserve(m);
-  // order_ is (count, entity)-ascending; the target key is
-  // (|2c - n|, entity). Split at the n/2 fold: in the low wing (2c <= n)
-  // the imbalance FALLS as the count rises, so its equal-count runs are
-  // visited back to front (each run forward, keeping entities ascending);
-  // the high wing (2c > n) is already imbalance-ascending. A two-pointer
-  // merge of the two streams by (imbalance, entity) — every key is unique,
-  // entities are distinct — reproduces std::sort's output byte for byte in
-  // O(m).
-  const size_t fold =
-      std::partition_point(order_.begin(), order_.end(),
-                           [n](const EntityCount& ec) {
-                             return 2 * static_cast<uint64_t>(ec.count) <= n;
-                           }) -
-      order_.begin();
-  size_t run_begin = fold;  // begin of the NEXT low run to produce
-  size_t run_end = fold;
-  size_t li = fold;
-  const auto next_low_run = [&] {
-    run_end = run_begin;
-    if (run_end == 0) {
-      li = 0;
-      run_begin = 0;
-      return;
-    }
-    const uint32_t c = order_[run_end - 1].count;
-    run_begin = run_end - 1;
-    while (run_begin > 0 && order_[run_begin - 1].count == c) --run_begin;
-    li = run_begin;
-  };
-  next_low_run();
-  size_t hi = fold;
-  while (true) {
-    if (li == run_end && run_end > 0) next_low_run();
-    const bool low = li < run_end;
-    const bool high = hi < m;
-    if (!low && !high) break;
-    bool take_low;
-    if (low && high) {
-      const uint64_t limb = n - 2 * static_cast<uint64_t>(order_[li].count);
-      const uint64_t himb = 2 * static_cast<uint64_t>(order_[hi].count) - n;
-      take_low = limb != himb ? limb < himb
-                              : order_[li].entity < order_[hi].entity;
-    } else {
-      take_low = low;
-    }
-    const EntityCount& ec = take_low ? order_[li++] : order_[hi++];
-    if (excluded != nullptr && ec.entity < excluded->size() &&
-        (*excluded)[ec.entity]) {
-      continue;
-    }
-    out->push_back(ec);
-  }
-  return true;
+  CopyMaskIds(excluded, &last_emit_mask_);
 }
 
 void DeltaCounter::NotePartition(const SubCollection& parent,
                                  const SubCollection& kept,
                                  SubCollection dropped) {
   if (!enabled_) return;
-  if (!chain_.Arm(parent.Fingerprint(), kept.Fingerprint())) {
+  if (!valid_ || parent.Fingerprint() != counted_fp_) {
     // We never counted this parent (a cache hit answered the last step, or
     // the session started elsewhere): nothing to derive from.
-    sibling_ = SubCollection();
+    Invalidate();
     return;
   }
+  expected_fp_ = kept.Fingerprint();
+  pending_ = true;
   sibling_ = std::move(dropped);
 }
 
@@ -299,7 +161,7 @@ void DeltaCounter::SeedChild(const SubCollection& parent,
                              const std::vector<EntityCount>& half_counts,
                              bool half_is_kept) {
   if (!enabled_) return;
-  if (!chain_.valid() || parent.Fingerprint() != chain_.counted_fp()) {
+  if (!valid_ || parent.Fingerprint() != counted_fp_) {
     Invalidate();
     return;
   }
@@ -319,8 +181,7 @@ void DeltaCounter::SeedChild(const SubCollection& parent,
     // nothing would leave them with a stale parent count, possibly past the
     // child's size. The snapshot gate keeps them masked for as long as this
     // state serves, so dropping them outright loses no candidate, and it
-    // keeps every retained count a true child count in [1, n - 1] — the
-    // invariant the counting-sort order rebuild indexes buckets by.
+    // keeps every retained count a true child count in [1, n - 1].
     mask_scratch_.assign(last_emit_mask_.begin(), last_emit_mask_.end());
     std::sort(mask_scratch_.begin(), mask_scratch_.end());
     size_t write = 0;
@@ -340,10 +201,11 @@ void DeltaCounter::SeedChild(const SubCollection& parent,
   }
   // The seeded list derives from the last emitted output, so it carries
   // that emit's mask filtering — snapshot accordingly.
-  chain_.SetMaskSnapshot(last_emit_mask_);
+  retained_mask_ = last_emit_mask_;
   sibling_ = SubCollection();
-  chain_.CommitDelta(kept.Fingerprint());
-  order_state_ = OrderState::kStale;
+  counted_fp_ = kept.Fingerprint();
+  pending_ = false;
+  ++stats_.delta;
   // A seeded derivation is a delta serve in the registry mix too; the
   // step's own serve path stays whatever its CountInformative reports
   // (typically a re-emit of this list).
@@ -351,20 +213,18 @@ void DeltaCounter::SeedChild(const SubCollection& parent,
 }
 
 void DeltaCounter::Invalidate() {
-  chain_.Invalidate();
+  if (valid_ || pending_) ++stats_.invalidations;
+  valid_ = false;
+  pending_ = false;
   sibling_ = SubCollection();
-  order_state_ = OrderState::kStale;
 }
 
 void DeltaCounter::Release() {
   Invalidate();
-  chain_.Release();
   retained_ = {};
-  order_ = {};
+  retained_mask_ = {};
   last_emit_mask_ = {};
   scratch_ = {};
-  moved_ = {};
-  bucket_ = {};
   mask_scratch_ = {};
   counter_.Release();
 }

@@ -19,7 +19,7 @@
 /// touched-list sort and separate emission a recount pays, which is why it
 /// serves even for the ~even splits the 1-step selectors produce.
 ///
-/// Four paths, chosen per call (CountChain::Classify plus the cost check):
+/// Four paths, chosen per call by the view's fingerprint and a cost check:
 ///
 ///   * full     — the view is unknown: count it, retain, emit;
 ///   * delta    — the view is the expected child of the retained parent and
@@ -27,8 +27,9 @@
 ///                cheaper than rescanning the view: do that;
 ///   * seeded   — the caller already counted one half of the partition
 ///                (k-LP's lookahead counts both halves of the candidate it
-///                chooses) and handed it to SeedChild: the child's counts
-///                were derived at partition time, so this count is a
+///                chooses) and handed it to SeedChild, which derives the
+///                child's list at partition time: the next count of that
+///                child is then a re-emit;
 ///   * re-emit  — the view IS the retained view: no counting at all, just
 ///                re-filter the retained list (also the §6 don't-know loop:
 ///                exclusion added, re-select on the same candidates).
@@ -50,19 +51,6 @@
 /// mask sequences — not just growing ones — the invariant the randomized
 /// delta parity suite pins.
 ///
-/// Retained candidate ORDER (set_retain_order): alongside the counts, the
-/// counter can keep the same list sorted by (count, entity) and maintain it
-/// across the chain — repaired in place on a sibling-subtraction (only the
-/// entities the sibling touched move; untouched entities keep their relative
-/// order), rebuilt by an O(m + n) counting sort when the derivation rewrote
-/// every count (gather path, SeedChild) or the chain broke. From that list
-/// EmitMostEvenOrder produces the (imbalance, entity)-sorted candidate
-/// order k-LP's line 11 needs with a two-wing merge around the n/2 fold —
-/// byte-identical to std::sort with the comparator, at O(m) per emit and
-/// never an O(m log m) comparison sort on the serve path. Memory cost: one
-/// extra EntityCount (8 B) per retained candidate plus an O(n) bucket
-/// array, both freed by Release().
-///
 /// Who arms it: the discovery session reports each answer's partition via
 /// EntitySelector::NotePartition (service/discovery_session.cc), handing
 /// over the dropped half it would otherwise free. Anything that breaks the
@@ -74,12 +62,24 @@
 #include <cstdint>
 #include <vector>
 
-#include "collection/count_chain.h"
 #include "collection/entity_counter.h"
 #include "collection/sub_collection.h"
 #include "collection/types.h"
 
 namespace setdisc {
+
+/// Where each counting call was served. `full` seeds the state, `delta`
+/// covers the sibling-count derivations (including SeedChild handoffs),
+/// `reemits` are the count-free paths; invalidations count explicit resets
+/// (backtracks) plus chain breaks detected by the fingerprint check.
+struct DeltaCounterStats {
+  uint64_t full = 0;
+  uint64_t delta = 0;
+  uint64_t reemits = 0;
+  uint64_t invalidations = 0;
+
+  uint64_t total() const { return full + delta + reemits; }
+};
 
 /// A counting workspace that retains the last result for derivation.
 /// Drop-in for EntityCounter::CountInformative; not thread-safe.
@@ -95,35 +95,12 @@ class DeltaCounter {
   }
   bool enabled() const { return enabled_; }
 
-  /// Opts into maintaining the (count, entity)-sorted view of the retained
-  /// list for EmitMostEvenOrder. Off by default: the 1-step selectors scan
-  /// their candidates linearly and would pay the upkeep for nothing.
-  void set_retain_order(bool retain) {
-    retain_order_ = retain;
-    if (!retain) {
-      order_ = {};
-      order_state_ = OrderState::kStale;
-    }
-  }
-
   /// Appends to `out` every informative entity of `sub` with its count, in
   /// ascending entity-id order, skipping entities marked in `excluded` —
   /// byte-identical to EntityCounter::CountInformative — via whichever of
   /// the paths above is valid and cheapest.
   void CountInformative(const SubCollection& sub, std::vector<EntityCount>* out,
                         const EntityExclusion* excluded = nullptr);
-
-  /// Fills `out` with exactly the entries the last CountInformative for the
-  /// view with fingerprint `fp` (of size `n`) emitted, ordered by
-  /// (imbalance vs n, entity) — byte-identical to std::sort of that
-  /// emission under the same comparator. Serves from the retained order
-  /// (repairing or rebuilding it as needed) in O(m + n); returns false —
-  /// leaving `out` untouched — when order retention is off or the retained
-  /// state does not describe this (view, mask), in which case the caller
-  /// sorts for itself.
-  bool EmitMostEvenOrder(uint64_t fp, uint32_t n,
-                         const EntityExclusion* excluded,
-                         std::vector<EntityCount>* out);
 
   /// Declares that `kept` and `dropped` are the two halves of a partition of
   /// `parent`. If the retained counts describe `parent`, arms the delta path
@@ -155,60 +132,42 @@ class DeltaCounter {
   /// on parked sessions.
   void Release();
 
-  const DeltaCounterStats& stats() const { return chain_.stats(); }
+  const DeltaCounterStats& stats() const { return stats_; }
 
  private:
-  /// Lifecycle of the retained (count, entity)-sorted order relative to
-  /// retained_: in sync, out of sync with a pending one-step repair already
-  /// applied eagerly (repairs happen inside the derivation while the dense
-  /// scratch is live), or stale (rebuild from retained_ on next emit).
-  enum class OrderState : uint8_t { kStale, kValid };
+  /// Serve gate: every entity the retention-time mask excluded must still be
+  /// excluded, or the retained list may be missing candidates the current
+  /// mask would admit. (Entities the current mask excludes *beyond* the
+  /// snapshot are the emit filter's job.)
+  bool MaskStillCovers(const EntityExclusion* excluded) const;
 
   /// out = retained_, minus entities the (current) mask excludes. The
   /// retained list is informative by construction, so this is the whole
   /// emit filter.
-  static void EmitFiltered(const std::vector<EntityCount>& retained,
-                           const EntityExclusion* excluded,
-                           std::vector<EntityCount>* out);
-
-  /// Repairs order_ after a sibling subtraction: entities with a zero dense
-  /// count kept their count (and relative order); the touched survivors are
-  /// re-sorted and merged back. Falls back to marking the order stale (the
-  /// counting-sort rebuild) when the touched set is large enough that its
-  /// sort would cost more than rebuilding — the "repair never loses to
-  /// re-sort" check.
-  void RepairOrderAfterSubtract(std::span<const uint32_t> dense, uint32_t n);
-
-  /// Counting-sort rebuild of order_ from retained_ (counts are in
-  /// [1, n - 1]): O(m + n), stable, so entity order within a count group is
-  /// ascending — exactly std::sort by (count, entity).
-  void RebuildOrder(uint32_t n);
+  void EmitFiltered(const EntityExclusion* excluded,
+                    std::vector<EntityCount>* out) const;
 
   EntityCounter counter_;
   bool enabled_ = true;
-  bool retain_order_ = false;
 
-  /// Retained state: the informative count list of the view the chain's
-  /// counted_fp describes, filtered by the mask snapshotted in the chain;
-  /// emits re-apply the current mask.
+  /// Retained state: the informative count list of the view with
+  /// fingerprint counted_fp_, filtered by the mask snapshot retained_mask_;
+  /// emits re-apply the current mask. Meaningful only while valid_.
   std::vector<EntityCount> retained_;
-  /// retained_ sorted by (count, entity) when order_state_ == kValid.
-  std::vector<EntityCount> order_;
-  OrderState order_state_ = OrderState::kStale;
+  std::vector<EntityId> retained_mask_;
+  uint64_t counted_fp_ = 0;
+  bool valid_ = false;
+  /// Armed derivation: the dropped half of a partition of the retained
+  /// view, whose kept half (fingerprint expected_fp_) is counted next.
+  bool pending_ = false;
+  uint64_t expected_fp_ = 0;
+  SubCollection sibling_;
   /// The mask the last CountInformative emitted under: what a
   /// SeedChild list (derived from that emitted output) is filtered by.
   std::vector<EntityId> last_emit_mask_;
 
-  /// The fingerprint-chain state machine (shared shape with the weighted
-  /// selectors; collection/count_chain.h).
-  CountChain chain_;
-  /// Armed derivation payload: the dropped half of the partition whose kept
-  /// half the chain expects next.
-  SubCollection sibling_;
-
+  DeltaCounterStats stats_;
   std::vector<EntityCount> scratch_;
-  std::vector<EntityCount> moved_;
-  std::vector<uint32_t> bucket_;
   std::vector<EntityId> mask_scratch_;
 };
 

@@ -37,12 +37,15 @@
 ///   Lb0(node), Lb1(node, c), Combine(node, l_in, l_out)
 ///   UpperLimitFirst(node, c, best), UpperLimitSecond(node, best, l_in)
 ///   OrderKey(node, c)          the line-11 evenness key, smaller first
-///   kLb1MonotoneInOrder        LB_1 is non-decreasing in OrderKey. Then the
-///                              early break is a sorted `break` (otherwise a
+///   kLb1MonotoneInOrder        LB_1 is non-decreasing in OrderKey, and
+///                              OrderKey is the set-count imbalance of
+///                              EntityCount candidates. Then the early break
+///                              is a sorted `break` (otherwise a
 ///                              per-candidate `continue`), the k <= 1 case
 ///                              is the OrderKey minimum (the beam cannot
-///                              cut it), and the DeltaCounter's retained
-///                              most-even order can serve the sort.
+///                              cut it), and line 11 is a counting sort
+///                              (kernels::OrderByImbalance, O(m + n)) rather
+///                              than std::sort.
 ///   Release()                  frees the model's scratch
 ///
 /// Bound comparisons are exact-integer (cost.h), which Lemma 4.4's safety
@@ -231,10 +234,6 @@ class LookaheadSelector : public EntitySelector {
       : model_(std::move(model)), options_(options), name_(std::move(name)) {
     SETDISC_CHECK(options_.k >= 1);
     delta_counter_.set_enabled(options_.enable_delta_counting);
-    // Keeping the retained list sorted across the chain pays only when that
-    // order is the model's line-11 order.
-    delta_counter_.set_retain_order(CostModel::kLb1MonotoneInOrder &&
-                                    options_.sort_candidates);
   }
 
   CostModel model_;
@@ -273,10 +272,13 @@ class LookaheadSelector : public EntitySelector {
   /// dense smaller-half counts stay live while its children derive from
   /// them on their own levels.
   struct Level {
-    std::vector<EntityCount> counts;  ///< informative counts, ascending
-    std::vector<EntityCount> asc;     ///< ascending copy for the children
-    std::vector<Candidate> cands;     ///< model scratch for Weigh()
-    EntityCounter counter;            ///< own counts, then smaller-half ones
+    /// Informative counts, ascending; the line-11 order is written
+    /// elsewhere, so the children derive from this list.
+    std::vector<EntityCount> counts;
+    std::vector<Candidate> cands;   ///< model scratch for Weigh()
+    std::vector<Candidate> sorted;  ///< counting-sorted line-11 order
+    std::vector<uint32_t> bucket;   ///< counting-sort scratch
+    EntityCounter counter;          ///< own counts, then smaller-half ones
     bool dense_valid = false;  ///< counter holds the current smaller half
   };
 
@@ -295,15 +297,15 @@ class LookaheadSelector : public EntitySelector {
       parent.dense_valid = true;
     }
     const std::span<const uint32_t> dense = parent.counter.dense();
-    const size_t m = parent.asc.size();
+    const size_t m = parent.counts.size();
     const uint32_t n = static_cast<uint32_t>(sub.size());
     counts->resize(m);
     counts->resize(
         &sub == &small
-            ? kernels::GatherChild(parent.asc.data(), m, dense.data(),
+            ? kernels::GatherChild(parent.counts.data(), m, dense.data(),
                                    dense.size(), n, /*drop_full=*/true,
                                    counts->data())
-            : kernels::SubtractChild(parent.asc.data(), m, dense.data(),
+            : kernels::SubtractChild(parent.counts.data(), m, dense.data(),
                                      dense.size(), n, /*drop_full=*/true,
                                      counts->data()));
   }
@@ -407,40 +409,38 @@ class LookaheadSelector : public EntitySelector {
       return {win->entity, bound, false};
     }
 
-    // The children derive their counts from this ascending list, which the
-    // sort below would destroy when the candidates are the counts themselves.
-    const bool delta_children = options_.enable_delta_counting;
-    if (delta_children) level.asc.assign(counts.begin(), counts.end());
-
+    // Line 11. Neither branch writes `counts`, which stays ascending for
+    // the children to derive from.
+    const std::vector<Candidate>* order = &cands;
     if (options_.sort_candidates) {
       // Only the top-level sort is charged to the order phase: timing each
       // recursion node would put clock reads on every lookahead node.
       obs::PhaseTimer order_timer(obs::Phase::kOrder, /*armed=*/top);
-      bool served = false;
       if constexpr (CostModel::kLb1MonotoneInOrder) {
-        // The retained list stays (count, entity)-sorted across the chain,
-        // and its wing merge emits exactly this order in O(m) — whenever the
-        // chain can serve; otherwise sort, byte-identically.
-        served = top && delta_children &&
-                 delta_counter_.EmitMostEvenOrder(
-                     sub.Fingerprint(), static_cast<uint32_t>(n), excluded,
-                     &cands);
+        level.sorted.resize(counts.size());
+        level.bucket.resize(n + 1);
+        kernels::OrderByImbalance(counts.data(), counts.size(),
+                                  static_cast<uint32_t>(n),
+                                  level.bucket.data(), level.sorted.data());
+        order = &level.sorted;
+      } else {
+        std::sort(cands.begin(), cands.end(), before);
       }
-      if (!served) std::sort(cands.begin(), cands.end(), before);
     }
 
-    size_t limit = cands.size();
+    size_t limit = order->size();
     if (beam > 0 && static_cast<size_t>(beam) < limit) {
       if (node_stats != nullptr) node_stats->excluded_by_beam = limit - beam;
       limit = static_cast<size_t>(beam);
     }
     const bool sorted_break =
         CostModel::kLb1MonotoneInOrder && options_.sort_candidates;
+    const bool delta_children = options_.enable_delta_counting;
 
     Cost best = upper_limit;  // AFLV; exclusive — candidates must go below it
     EntityId best_entity = kNoEntity;
     for (size_t i = 0; i < limit; ++i) {
-      const Candidate& cand = cands[i];
+      const Candidate& cand = (*order)[i];
       // Line 14: prune by the 1-step bound (Lemma 4.4 with l = 1).
       if (options_.enable_early_break && model_.Lb1(node, cand) >= best) {
         if (sorted_break) {
@@ -492,10 +492,11 @@ class LookaheadSelector : public EntitySelector {
         if (top) best_small_valid_ = delta_children && level.dense_valid;
         if (top && best_small_valid_) {
           const std::span<const uint32_t> dense = level.counter.dense();
-          best_small_counts_.resize(level.asc.size());
+          best_small_counts_.resize(level.counts.size());
           best_small_counts_.resize(kernels::GatherChild(
-              level.asc.data(), level.asc.size(), dense.data(), dense.size(),
-              /*n=*/0, /*drop_full=*/false, best_small_counts_.data()));
+              level.counts.data(), level.counts.size(), dense.data(),
+              dense.size(), /*n=*/0, /*drop_full=*/false,
+              best_small_counts_.data()));
           best_small_entity_ = cand.entity;
           best_small_is_in_ = small == &c_in;
         }

@@ -9,9 +9,8 @@
 #include <string_view>
 #include <vector>
 
-#include "collection/delta_counter.h"
 #include "core/decision_tree.h"
-#include "core/selector.h"
+#include "core/selectors.h"
 
 namespace setdisc {
 
@@ -29,7 +28,7 @@ namespace setdisc {
 /// to summing them fresh — but for any fixed entity the fresh sum adds the
 /// same weights in the same member order as the old probe loop, so decisions
 /// are unchanged.
-class WeightedMostEvenSelector : public EntitySelector {
+class WeightedMostEvenSelector : public CountingSelector {
  public:
   /// `weights` is indexed by SetId over the full collection; it must outlive
   /// the selector. Weights must be non-negative (not necessarily normalized).
@@ -37,9 +36,7 @@ class WeightedMostEvenSelector : public EntitySelector {
   /// weighting pass is identical either way).
   explicit WeightedMostEvenSelector(const std::vector<double>* weights,
                                     bool differential = true)
-      : weights_(weights) {
-    counter_.set_enabled(differential);
-  }
+      : CountingSelector(differential), weights_(weights) {}
 
   EntityId Select(const SubCollection& sub,
                   const EntityExclusion* excluded = nullptr) override;
@@ -48,28 +45,14 @@ class WeightedMostEvenSelector : public EntitySelector {
   /// The name doesn't encode the prior, but the decisions depend on it.
   uint64_t DecisionFingerprint() const override;
 
-  void NotePartition(const SubCollection& parent, EntityId e,
-                     bool kept_contains, const SubCollection& kept,
-                     SubCollection dropped) override {
-    (void)e;
-    (void)kept_contains;
-    counter_.NotePartition(parent, kept, std::move(dropped));
-  }
-  void InvalidateCountState() override { counter_.Invalidate(); }
   void ReleaseMemory() override {
-    counter_.Release();
-    counts_ = {};
+    CountingSelector::ReleaseMemory();
     weight_acc_ = {};
     weight_stamp_ = {};
   }
 
-  /// Full/delta/re-emit breakdown of the counting passes so far.
-  const DeltaCounterStats& counting_stats() const { return counter_.stats(); }
-
  private:
   const std::vector<double>* weights_;
-  DeltaCounter counter_;
-  std::vector<EntityCount> counts_;
   /// Dense per-entity weight accumulator, epoch-stamped so it never needs a
   /// clear pass: a stale stamp reads as "no mass yet".
   std::vector<double> weight_acc_;

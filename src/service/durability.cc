@@ -258,6 +258,9 @@ class FaultFs::FaultyFile final : public WritableFile {
 };
 
 Result<std::string> FaultFs::ReadFile(const std::string& path) {
+  if (fail_read_.load(std::memory_order_relaxed)) {
+    return Status::IoError("fault injection: read failed");
+  }
   return base_->ReadFile(path);
 }
 

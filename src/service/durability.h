@@ -228,6 +228,11 @@ class FaultFs : public StoreFs {
     fail_atomic_write_.store(fail, std::memory_order_relaxed);
   }
 
+  /// Every ReadFile() fails while set.
+  void set_fail_read(bool fail) {
+    fail_read_.store(fail, std::memory_order_relaxed);
+  }
+
   /// Crash-point hook: invoked before every append with the running append
   /// ordinal (1-based); returning false makes the append fail having written
   /// nothing — "the process died here". nullptr disables.
@@ -258,6 +263,7 @@ class FaultFs : public StoreFs {
   std::atomic<int64_t> append_budget_{-1};
   std::atomic<bool> fail_sync_{false};
   std::atomic<bool> fail_atomic_write_{false};
+  std::atomic<bool> fail_read_{false};
   std::function<bool(uint64_t)> crash_hook_;
   std::atomic<uint64_t> appends_{0};
   std::atomic<uint64_t> syncs_{0};

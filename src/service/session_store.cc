@@ -158,7 +158,7 @@ Status SessionStore::Open(uint64_t collection_fingerprint) {
     if (!fs_->FileExists(path)) return;
     Result<std::string> data = fs_->ReadFile(path);
     if (!data.ok()) {
-      ++stats_.io_errors;
+      CountIoErrorLocked();
       return;
     }
     RecordScan scan = ScanRecords(
@@ -235,9 +235,13 @@ void SessionStore::AppendWalLocked(uint8_t kind, std::string_view body) {
   }
 }
 
-void SessionStore::MarkDegradedLocked() {
+void SessionStore::CountIoErrorLocked() {
   ++stats_.io_errors;
   if (io_errors_counter_ != nullptr) io_errors_counter_->Add();
+}
+
+void SessionStore::MarkDegradedLocked() {
+  CountIoErrorLocked();
   if (degraded_) return;
   degraded_ = true;
   obs::RecordEvent(obs::FlightEventKind::kStoreDegraded, stats_.io_errors);

@@ -209,6 +209,9 @@ class SessionStore {
   void AppendWalLocked(uint8_t kind, std::string_view body);
   Status FlushLocked();
   Status CheckpointLocked();
+  /// Counts an I/O error in stats_ and the registry counter alike — the one
+  /// place either is incremented. Requires mu_.
+  void CountIoErrorLocked();
   /// Counts an I/O error and stops WAL appends until a checkpoint heals;
   /// records a store_degraded event on entering that state. Requires mu_.
   void MarkDegradedLocked();

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "collection/count_kernels.h"
 #include "collection/delta_counter.h"
 #include "collection/entity_counter.h"
 #include "collection/inverted_index.h"
@@ -409,9 +410,9 @@ TEST(GallopingIntersectionTest, SkewedSeedsMatchBruteForce) {
 }
 
 // ---------------------------------------------------------------------------
-// Retained candidate ordering: EmitMostEvenOrder must be byte-identical to
-// std::sort of the same emission by (imbalance, entity), across chains whose
-// derivations repair the order in place, rebuild it, or re-emit it.
+// Line-11 order: kernels::OrderByImbalance must be byte-identical to
+// std::sort by (imbalance, entity) on every list the counter emits — full
+// counts, derivations, re-emits under growing masks and seeded children.
 
 uint64_t Imb(uint64_t c, uint64_t n) {
   uint64_t other = n - c;
@@ -429,17 +430,25 @@ std::vector<EntityCount> SortedByImbalance(std::vector<EntityCount> counts,
   return counts;
 }
 
-/// Random narrowing chain with order retention on: every step that counted
-/// must serve EmitMostEvenOrder, and the served order must equal the sorted
-/// emission exactly. Mixes don't-know re-emits (growing masks) in.
+std::vector<EntityCount> CountingSorted(const std::vector<EntityCount>& asc,
+                                        uint64_t n) {
+  std::vector<EntityCount> out(asc.size());
+  std::vector<uint32_t> bucket(n + 1);
+  kernels::OrderByImbalance(asc.data(), asc.size(), static_cast<uint32_t>(n),
+                            bucket.data(), out.data());
+  return out;
+}
+
+/// Random narrowing chain: every list the counter emits, ordered by the
+/// counting sort, must equal its std::sort. Mixes don't-know re-emits
+/// (growing masks) in.
 void CheckOrderedChain(uint64_t seed, uint32_t n, uint32_t m, double density,
                        bool with_exclusions) {
   SetCollection c = RandomCollection(seed, n, m, density);
   Rng rng(seed * 31 + 7);
   DeltaCounter delta;
-  delta.set_retain_order(true);
   EntityExclusion excluded;
-  std::vector<EntityCount> got, ordered;
+  std::vector<EntityCount> got;
 
   SubCollection sub = SubCollection::Full(&c);
   int guard = 0;
@@ -447,10 +456,8 @@ void CheckOrderedChain(uint64_t seed, uint32_t n, uint32_t m, double density,
     const EntityExclusion* mask =
         with_exclusions && !excluded.empty() ? &excluded : nullptr;
     delta.CountInformative(sub, &got, mask);
-    ASSERT_TRUE(delta.EmitMostEvenOrder(sub.Fingerprint(),
-                                        static_cast<uint32_t>(sub.size()),
-                                        mask, &ordered));
-    ASSERT_EQ(ordered, SortedByImbalance(got, sub.size()))
+    ASSERT_EQ(CountingSorted(got, sub.size()),
+              SortedByImbalance(got, sub.size()))
         << "seed " << seed << ", step " << guard;
     if (got.empty()) break;
 
@@ -472,66 +479,44 @@ void CheckOrderedChain(uint64_t seed, uint32_t n, uint32_t m, double density,
   EXPECT_GT(delta.stats().total(), 0u);
 }
 
-TEST(OrderedEmitTest, MatchesSortAcrossChains) {
+TEST(OrderByImbalanceTest, MatchesSortAcrossChains) {
   for (uint64_t seed : {61u, 62u, 63u, 64u, 65u}) {
     CheckOrderedChain(seed, 40, 30, 0.3, /*with_exclusions=*/false);
   }
 }
 
-TEST(OrderedEmitTest, MatchesSortUnderGrowingMasks) {
+TEST(OrderByImbalanceTest, MatchesSortUnderGrowingMasks) {
   for (uint64_t seed : {71u, 72u, 73u, 74u, 75u}) {
     CheckOrderedChain(seed, 40, 30, 0.3, /*with_exclusions=*/true);
   }
 }
 
-TEST(OrderedEmitTest, MatchesSortDense) {
-  // Dense collections → skewed splits → the subtraction path with its
-  // in-place order repair fires most steps.
+TEST(OrderByImbalanceTest, MatchesSortDense) {
+  // Dense collections → skewed splits → the subtraction path fires most
+  // steps, and many entities share a count.
   for (uint64_t seed : {81u, 82u, 83u}) {
     CheckOrderedChain(seed, 60, 16, 0.7, /*with_exclusions=*/false);
   }
 }
 
-TEST(OrderedEmitTest, RefusesWhenStateDoesNotMatch) {
-  SetCollection c = RandomCollection(91, 32, 24, 0.3);
-  DeltaCounter delta;
-  delta.set_retain_order(true);
-  std::vector<EntityCount> got, ordered;
-  SubCollection sub = SubCollection::Full(&c);
-
-  // Nothing counted yet: nothing to serve.
-  EXPECT_FALSE(delta.EmitMostEvenOrder(
-      sub.Fingerprint(), static_cast<uint32_t>(sub.size()), nullptr, &ordered));
-
-  delta.CountInformative(sub, &got, nullptr);
-  // Wrong fingerprint (a different view).
-  EXPECT_FALSE(delta.EmitMostEvenOrder(
-      sub.Fingerprint() + 1, static_cast<uint32_t>(sub.size()), nullptr,
-      &ordered));
-  // Broken chain: a partition the counter was never told about.
-  auto [in, out] = sub.Partition(got.front().entity, true);
-  EXPECT_FALSE(delta.EmitMostEvenOrder(
-      in.Fingerprint(), static_cast<uint32_t>(in.size()), nullptr, &ordered));
-  // Retention off: never serves.
-  delta.set_retain_order(false);
-  EXPECT_FALSE(delta.EmitMostEvenOrder(
-      sub.Fingerprint(), static_cast<uint32_t>(sub.size()), nullptr, &ordered));
-  // And a full count after the break recovers the serveable state.
-  delta.set_retain_order(true);
-  delta.CountInformative(in, &got, nullptr);
-  EXPECT_TRUE(delta.EmitMostEvenOrder(
-      in.Fingerprint(), static_cast<uint32_t>(in.size()), nullptr, &ordered));
-  EXPECT_EQ(ordered, SortedByImbalance(got, in.size()));
+TEST(OrderByImbalanceTest, TwoSets) {
+  // n = 2: every informative count is 1, so the key is 0 throughout and the
+  // order is the entity order.
+  const std::vector<EntityCount> asc = {{3, 1}, {5, 1}, {9, 1}};
+  EXPECT_EQ(CountingSorted(asc, 2), asc);
+  EXPECT_EQ(CountingSorted({}, 2), std::vector<EntityCount>{});
+  // Keys 0 and n (uninformative counts) stay in range.
+  const std::vector<EntityCount> edge = {{1, 0}, {2, 2}, {4, 1}};
+  EXPECT_EQ(CountingSorted(edge, 2), SortedByImbalance(edge, 2));
 }
 
-TEST(OrderedEmitTest, SeededChildServesOrder) {
+TEST(OrderByImbalanceTest, SeededChildMatchesSort) {
   // The k-LP shape: SeedChild installs the child's counts, the next count is
-  // a re-emit, and the ordered emission must match the sort of that output.
+  // a re-emit, and its ordered emission must match the sort of that output.
   SetCollection c = RandomCollection(95, 48, 20, 0.4);
   for (bool keep_in : {true, false}) {
     DeltaCounter delta;
-    delta.set_retain_order(true);
-    std::vector<EntityCount> parent_counts, got, ordered;
+    std::vector<EntityCount> parent_counts, got;
     SubCollection sub = SubCollection::Full(&c);
     delta.CountInformative(sub, &parent_counts, nullptr);
     ASSERT_FALSE(parent_counts.empty());
@@ -551,10 +536,9 @@ TEST(OrderedEmitTest, SeededChildServesOrder) {
     const SubCollection& kept = keep_in ? in : out;
     delta.SeedChild(sub, kept, half, /*half_is_kept=*/&small == &kept);
     delta.CountInformative(kept, &got, nullptr);
-    ASSERT_TRUE(delta.EmitMostEvenOrder(kept.Fingerprint(),
-                                        static_cast<uint32_t>(kept.size()),
-                                        nullptr, &ordered));
-    EXPECT_EQ(ordered, SortedByImbalance(got, kept.size()))
+    EXPECT_EQ(delta.stats().reemits, 1u) << "keep_in " << keep_in;
+    EXPECT_EQ(CountingSorted(got, kept.size()),
+              SortedByImbalance(got, kept.size()))
         << "keep_in " << keep_in;
   }
 }

@@ -463,6 +463,37 @@ TEST(SessionStore, EnteringDegradedModeRecordsOneEvent) {
             1u);
 }
 
+TEST(SessionStore, UnreadableFileAtOpenCountsInStatsAndRegistry) {
+  const std::string dir = FreshDir("readfail");
+  {
+    SessionStoreOptions plain;
+    plain.dir = dir;
+    SessionStore store(plain);
+    ASSERT_TRUE(store.Open(42).ok());
+    EXPECT_TRUE(store.Put(MakeRecord(1)));
+    ASSERT_TRUE(store.Flush().ok());
+  }
+  ASSERT_TRUE(std::filesystem::exists(dir + "/sessions.wal"));
+  ASSERT_TRUE(std::filesystem::exists(dir + "/sessions.ckpt"));
+
+  // Both files exist and neither can be read: two I/O errors, each counted
+  // in the store's stats and in the process registry alike, so the
+  // shutdown report and the Prometheus counter agree.
+  obs::Counter* io_errors =
+      obs::MetricsRegistry::Default().GetCounter("setdisc_store_io_errors_total");
+  const uint64_t before = io_errors->Value();
+  FaultFs fs;
+  fs.set_fail_read(true);
+  SessionStoreOptions opt;
+  opt.dir = dir;
+  opt.fs = &fs;
+  SessionStore store(opt);
+  ASSERT_TRUE(store.Open(42).ok());
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.stats().io_errors, 2u);
+  EXPECT_EQ(io_errors->Value() - before, store.stats().io_errors);
+}
+
 TEST(SessionStore, FailedCheckpointStaysDegradedAndKeepsOldFile) {
   const std::string dir = FreshDir("ckptfail");
   FaultFs fs;
